@@ -21,6 +21,7 @@ pigeonholes one root per disk.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,11 +165,6 @@ class IntPolynomial:
                     rem[k + i] -= q * dc
         return all(c == 0 for c in rem[: self.degree])
 
-    def squarefree_part(self) -> "IntPolynomial":
-        expr = self.to_sympy()
-        sf = sympy.Poly(expr, _X).sqf_part()
-        return IntPolynomial(tuple(int(c) for c in reversed(sf.all_coeffs())))
-
     def to_sympy(self):
         return sum(c * _X**i for i, c in enumerate(self.coeffs))
 
@@ -189,6 +185,79 @@ def _irreducible_or_factor(poly: IntPolynomial):
         return None
     f = pieces[0]
     return IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials
+# ---------------------------------------------------------------------------
+
+
+def _divide_monic(num, den):
+    """Quotient of an exact division by a monic polynomial (constant term first)."""
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * (len(num) - dd)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + dd]
+        quot[k] = c
+        if c:
+            for i in range(dd):
+                num[k + i] -= c * den[i]
+    return quot
+
+
+@lru_cache(maxsize=1024)
+def _cyclotomic(n: int) -> tuple:
+    """Coefficients of Phi_n, constant term first.
+
+    x^n - 1 is the product of Phi_d over the divisors d of n, so dividing it
+    exactly by Phi_d for every proper divisor leaves Phi_n."""
+    quot = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            quot = _divide_monic(quot, _cyclotomic(d))
+    return tuple(quot)
+
+
+@lru_cache(maxsize=256)
+def _totient_preimages(d: int) -> tuple:
+    """Every n with phi(n) = d, in no particular order.
+
+    phi(n) is the product of p^(k-1) (p - 1) over the prime powers p^k
+    exactly dividing n, so each prime of n has p - 1 dividing d."""
+    primes = [
+        q + 1
+        for q in range(1, d + 1)
+        if d % q == 0 and all((q + 1) % f for f in range(2, math.isqrt(q + 1) + 1))
+    ]
+    out = []
+
+    def walk(start, n, rest):
+        if rest == 1:
+            out.append(n)
+        for j in range(start, len(primes)):
+            p = primes[j]
+            if rest % (p - 1):
+                continue
+            n_p, rest_p = n * p, rest // (p - 1)
+            while True:
+                walk(j + 1, n_p, rest_p)
+                if rest_p % p:
+                    break
+                n_p, rest_p = n_p * p, rest_p // p
+
+    walk(0, 1, d)
+    return tuple(out)
+
+
+def _cyclotomic_order(coeffs: tuple) -> Optional[int]:
+    """n if coeffs (constant term first) are exactly those of Phi_n, else None."""
+    if coeffs[-1] != 1 or abs(coeffs[0]) != 1:
+        return None
+    for n in _totient_preimages(len(coeffs) - 1):
+        if _cyclotomic(n) == coeffs:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +322,47 @@ class _Rec:
 _ROOT_BUDGET = 200  # total polish sweeps per polynomial, then give up
 
 
-def _stage_a(coeffs):
+def _closed_form_seeds(coeffs) -> Optional[np.ndarray]:
+    """float64 roots of a binomial or cyclotomic polynomial, else None.
+
+    c_d x^d + c_0 has the roots rho * exp(i pi (2k + delta) / d) with
+    rho = |c_0/c_d|^(1/d) and delta = 1 exactly when c_0/c_d > 0; Phi_n,
+    recognised by exact comparison, has the roots exp(2 pi i k / n) with
+    gcd(k, n) = 1. The seeds are certified like any other.
+    """
+    d = len(coeffs) - 1
+    if d >= 2 and coeffs[0] and not any(coeffs[1:-1]):
+        log_rho = (math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / d
+        if abs(log_rho) > 700:
+            return None
+        delta = 1 if (coeffs[0] > 0) == (coeffs[-1] > 0) else 0
+        k = np.arange(d)
+        return math.exp(log_rho) * np.exp(1j * np.pi * (2 * k + delta) / d)
+    n = _cyclotomic_order(coeffs)
+    if n is None:
+        return None
+    ks = np.array([k for k in range(n) if math.gcd(k, n) == 1])
+    return np.exp(2j * np.pi * ks / n)
+
+
+def _stage_a(coeffs, seeds):
     """float64 seed + polish + certification; None if not applicable/failed.
 
-    Returns list of (center complex, radius float) with radii certified via
-    the d*|p/p'| bound and a rounding majorant. Requires coefficients exactly
+    Seeds are the closed-form roots when given, else np.roots eigenvalues.
+    Returns (centers, radii) arrays with radii certified via the d*|p/p'|
+    bound and a rounding majorant. Requires coefficients exactly
     representable in double precision.
     """
     d = len(coeffs) - 1
     if d < 1 or any(abs(c) > 2**52 for c in coeffs):
         return None
-    desc = np.array(coeffs[::-1], dtype=float)
-    if not np.all(np.isfinite(desc)):
-        return None
-    try:
-        z = np.roots(desc)
-    except Exception:
-        return None
+    if seeds is not None:
+        z = seeds
+    else:
+        try:
+            z = np.roots(np.array(coeffs[::-1], dtype=float))
+        except np.linalg.LinAlgError:
+            return None
     if len(z) != d or not np.all(np.isfinite(z)):
         return None
     asc = np.array(coeffs, dtype=float)
@@ -301,7 +394,7 @@ def _stage_a(coeffs):
     rad = d * (np.abs(pv) + ep) / den * (1 + 1e-12)
     if not np.all(np.isfinite(rad)):
         return None
-    return [(complex(zi), float(ri)) for zi, ri in zip(z, rad)]
+    return z, rad
 
 
 def _mp_eval_bounds(poly: IntPolynomial, z: mpc):
@@ -357,7 +450,9 @@ def _geometry_np(z, r):
 
     Margins are one-sided: a pair within relative 1e-9 of touching is treated
     as overlapping, which can only force refinement, never a wrong
-    certificate. Returns (real_flags, pair, order) or None if ambiguous.
+    certificate. Returns (real_flags, pair, order, lex) or None if
+    ambiguous; lex is set when every re-group is one root or a conjugate
+    pair, so that order is the lexicographic (re, im) order of the roots.
     """
     n = len(z)
     rr = (r[:, None] + r[None, :]) * (1 + 1e-9) + 1e-290
@@ -401,7 +496,8 @@ def _geometry_np(z, r):
                     return None
     gkey = {g: min(float(re[i]) for i in members) for g, members in groups.items()}
     order = sorted(range(n), key=lambda i: (gkey[find(i)], float(im[i]), float(re[i])))
-    return real, pair, order
+    lex = all(len(m) == 1 or (len(m) == 2 and pair[m[0]] == m[1]) for m in groups.values())
+    return real, pair, order, lex
 
 
 def _disjoint(recs) -> bool:
@@ -462,6 +558,7 @@ def _canonical_order(recs):
     Records whose real-part intervals overlap are grouped (transitively) and
     ordered inside the group by imaginary part, which must then be certified
     disjoint. Groups themselves are separated in re, so the order is total.
+    Returns (order, lex), lex as in _geometry_np.
     """
     n = len(recs)
     parent = list(range(n))
@@ -494,11 +591,15 @@ def _canonical_order(recs):
         range(n),
         key=lambda i: (gkey[find(i)], float(recs[i].im), float(recs[i].re)),
     )
-    return order
+    lex = all(
+        len(m) == 1 or (len(m) == 2 and recs[m[0]].pair == m[1]) for m in groups.values()
+    )
+    return order, lex
 
 
 def _roots_squarefree(poly: IntPolynomial, eps: float):
-    """Certified, canonically ordered enclosures of a squarefree polynomial."""
+    """(records, lex): certified, canonically ordered enclosures of a
+    squarefree polynomial, lex as in _geometry_np."""
     d = poly.degree
     if d == 1:
         c0, c1 = poly.coeffs
@@ -509,20 +610,18 @@ def _roots_squarefree(poly: IntPolynomial, eps: float):
         rec = _Rec(re, mpf(0), rad)
         rec.real = True
         rec.exact = val
-        return [rec]
+        return [rec], True
 
     target = mpf(eps)
     budget = _ROOT_BUDGET
-    recs = None
-    seeded = _stage_a(poly.coeffs)
-    dps = 40
+    seeds = _closed_form_seeds(poly.coeffs)
+    seeded = _stage_a(poly.coeffs, seeds)
     if seeded is not None:
-        zs = np.array([z for z, _ in seeded])
-        rads = np.array([r for _, r in seeded])
+        zs, rads = seeded
         if np.all(rads <= eps):
             geom = _geometry_np(zs, rads)
             if geom is not None:
-                real, pair, order = geom
+                real, _, order, lex = geom
                 out = []
                 for i in order:
                     rec = _Rec(zs[i].real, zs[i].imag, rads[i] * (1 + 1e-12))
@@ -533,9 +632,11 @@ def _roots_squarefree(poly: IntPolynomial, eps: float):
                     else:
                         rec.real = False
                     out.append(rec)
-                return out
-        recs = [_Rec(z.real, z.imag, r) for z, r in seeded]
-    if recs is None:
+                return out, lex
+        recs = [_Rec(z.real, z.imag, r) for z, r in zip(zs, rads)]
+    elif seeds is not None:
+        recs = [_Rec(z.real, z.imag, 1) for z in seeds]
+    else:
         with mp.workdps(40):
             try:
                 zs = mp.polyroots(
@@ -544,7 +645,7 @@ def _roots_squarefree(poly: IntPolynomial, eps: float):
             except Exception as exc:
                 raise RootRefinementError(float("inf"), budget) from exc
             recs = [_Rec(mpf(z.real), mpf(z.imag), mpf(1)) for z in zs]
-        dps = 40
+    dps = 40
 
     while budget > 0:
         with mp.workdps(dps):
@@ -557,9 +658,10 @@ def _roots_squarefree(poly: IntPolynomial, eps: float):
                 and _classify_real_and_pair(recs)
             )
             if good:
-                order = _canonical_order(recs)
-                if order is not None:
-                    return [recs[i] for i in order]
+                ordered = _canonical_order(recs)
+                if ordered is not None:
+                    order, lex = ordered
+                    return [recs[i] for i in order], lex
         dps *= 2
         if dps > 3000:
             break
@@ -573,8 +675,8 @@ def _eps_bucket(eps: float) -> float:
     return 2.0 ** math.floor(math.log2(eps))
 
 
-@lru_cache(maxsize=512)
-def _ordered_roots(coeffs: tuple, eps: float, trusted_squarefree: bool):
+def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
+    """(roots, lex): certified roots in canonical order, lex as in _geometry_np."""
     poly = IntPolynomial(coeffs)
     if trusted_squarefree:
         pieces = [(poly, 1)]
@@ -590,7 +692,8 @@ def _ordered_roots(coeffs: tuple, eps: float, trusted_squarefree: bool):
             raise AlgebraicError("constant polynomial has no roots")
     allrecs = []
     for piece, mult in pieces:
-        for rec in _roots_squarefree(piece, eps):
+        recs, lex = _roots_squarefree(piece, eps)
+        for rec in recs:
             rec.mult = mult
             allrecs.append(rec)
     if len(pieces) > 1:
@@ -600,16 +703,17 @@ def _ordered_roots(coeffs: tuple, eps: float, trusted_squarefree: bool):
             finer = eps / 16 ** (tries + 1)
             allrecs = []
             for piece, mult in pieces:
-                for rec in _roots_squarefree(piece, finer):
+                for rec in _roots_squarefree(piece, finer)[0]:
                     rec.mult = mult
                     allrecs.append(rec)
             tries += 1
         with mp.workdps(60):
             if not _classify_real_and_pair(allrecs):
                 raise RootRefinementError(max(float(r.rad) for r in allrecs), _ROOT_BUDGET)
-            order = _canonical_order(allrecs)
-        if order is None:
+            ordered = _canonical_order(allrecs)
+        if ordered is None:
             raise RootRefinementError(max(float(r.rad) for r in allrecs), _ROOT_BUDGET)
+        order, lex = ordered
         allrecs = [allrecs[i] for i in order]
     out = []
     for rec in allrecs:
@@ -622,22 +726,79 @@ def _ordered_roots(coeffs: tuple, eps: float, trusted_squarefree: bool):
             exact=rec.exact,
         )
         out.extend([root] * rec.mult)
-    return tuple(out)
+    return tuple(out), lex
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _FinestRootCache:
+    """_certify memoised with one entry per (coefficients, trusted flag).
+
+    The entry keeps the finest certification made so far: it serves every
+    request at its eps or coarser, and a finer request replaces it, so a
+    stricter request never gets a looser enclosure. Least recently used
+    entries are evicted past maxsize."""
+
+    def __init__(self, maxsize: int):
+        self._maxsize = maxsize
+        self._entries = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, coeffs: tuple, eps: float, trusted_squarefree: bool):
+        key = (coeffs, trusted_squarefree)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] <= eps:
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return entry[1]
+        self._misses += 1
+        value = _certify(coeffs, eps, trusted_squarefree)
+        self._entries[key] = (eps, value)
+        self._entries.move_to_end(key)
+        if len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._entries))
+
+    def cache_clear(self):
+        self._entries.clear()
+        self._hits = self._misses = 0
+
+
+_ordered_roots = _FinestRootCache(maxsize=512)
 
 
 def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False):
     """Certified enclosures of all roots of p, with multiplicity.
 
-    Returns degree-many disks of radius <= eps in the canonical (re, im)
-    order; for squarefree p the disks are pairwise disjoint. Raises
-    RootRefinementError (with the achieved radius) if certification does not
-    converge within the iteration budget.
+    Returns degree-many disks of radius <= eps in the canonical order; for
+    squarefree p the disks are pairwise disjoint. The canonical order is
+    lexicographic in (re, im): roots whose real parts are certified apart
+    sort by real part, and roots whose real-part enclosures overlap, such
+    as a complex-conjugate pair (equal real parts), sort by imaginary part.
+    Scaling by a rational r keeps this order for r > 0 and reverses it for
+    r < 0, so r*a keeps a's root index i, or takes d-1-i (see
+    scale_by_rational). Binomials c_d x^d + c_0 and
+    cyclotomic polynomials are seeded from their closed-form roots, other
+    polynomials from np.roots (mpmath when the coefficients exceed
+    float64); every seed is certified by the same d*|p/p'| disk bound.
+    The finest certification of each polynomial is cached and serves
+    coarser requests. Raises RootRefinementError (with the achieved radius)
+    if certification does not converge within the iteration budget.
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
     if p.degree < 1:
         raise AlgebraicError("degree >= 1 required")
-    return list(_ordered_roots(p.coeffs, _eps_bucket(eps), trusted_squarefree))
+    rs, _ = _ordered_roots(p.coeffs, _eps_bucket(eps), trusted_squarefree)
+    return list(rs)
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +817,14 @@ def _log_int(n: int) -> mpf:
     return mp.log(mpf(n))
 
 
-def mahler_log(p: IntPolynomial, tol: float = 1e-12) -> MahlerLog:
+def mahler_log(
+    p: IntPolynomial, tol: float = 1e-12, trusted_squarefree: bool = False
+) -> MahlerLog:
     """log Mahler measure log|c_d| + sum log+|root_i|, with error bound.
 
     The error bound comes from the root enclosure radii; enclosures are
-    refined until the bound is at most tol.
+    refined until the bound is at most tol. trusted_squarefree is passed
+    on to roots().
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
@@ -674,7 +838,7 @@ def mahler_log(p: IntPolynomial, tol: float = 1e-12) -> MahlerLog:
         return MahlerLog(float(v), 1e-15)
     eps = max(min(tol / (4 * p.degree), 1e-10), 1e-290)
     for _ in range(60):
-        rs = roots(p, eps)
+        rs = roots(p, eps, trusted_squarefree)
         with mp.workdps(60):
             lo = _log_int(abs(p.leading))
             hi = lo + abs(lo) * mpf(2) ** (-120)
@@ -805,12 +969,19 @@ def weil_height(a, tol: float = 1e-12) -> float:
     poly = a.minpoly
     if poly.leading == 1 and abs(poly.constant) == 1 and is_root_of_unity(a) is not None:
         return 0.0  # Kronecker: algebraic integers of height 0 are roots of unity
-    m = mahler_log(poly, tol * d / 2)
+    m = mahler_log(poly, tol * d / 2, trusted_squarefree=True)
     return m.value / d
 
 
 def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
-    """The algebraic number r*a; minpoly via x -> x/r and clearing denominators."""
+    """The algebraic number r*a; minpoly via x -> x/r and clearing denominators.
+
+    x -> r*x keeps the lexicographic (re, im) order of the roots for r > 0
+    and reverses it for r < 0. So when the canonical order of a's roots is
+    certified lexicographic, r*a is root a.index (r > 0) or d-1-a.index
+    (r < 0) of the scaled polynomial, with no root computed. Otherwise the
+    scaled polynomial's roots are certified and matched geometrically.
+    """
     r = Fraction(r)
     if r == 0:
         raise AlgebraicError("r must be nonzero")
@@ -820,7 +991,12 @@ def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
     d = a.degree
     cs = tuple(c * s ** (d - i) * t**i for i, c in enumerate(a.minpoly.coeffs))
     poly = IntPolynomial(cs).primitive()
-    # same degree and the same field: irreducibility is inherited
+    # same degree and the same field: irreducibility is inherited.
+    # 1e-9 is the coarsest eps the package asks for, so any cached
+    # certification of a's polynomial serves it
+    _, lex = _ordered_roots(a.minpoly.coeffs, _eps_bucket(1e-9), True)
+    if lex:
+        return AlgebraicNumber(poly, a.index if r > 0 else d - 1 - a.index)
     eps = 1e-12
     for _ in range(30):
         src = a.enclosure(eps)
@@ -845,64 +1021,14 @@ def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
 # ---------------------------------------------------------------------------
 
 
-def _totient_sieve(limit: int):
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
-
-
-def _poly_mulmod(a, b, mod_coeffs):
-    """Product of integer polynomials modulo a monic polynomial."""
-    d = len(mod_coeffs) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(d):
-                out[k - d + i] -= c * mod_coeffs[i]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def is_root_of_unity(a: AlgebraicNumber) -> Optional[int]:
     """Exact test; returns the order n if a^n = 1 for some n, else None.
 
-    A root of unity of order n has minimal polynomial of degree phi(n), so
-    only n with phi(n) = degree and n <= 2*degree^2 + 1 (a Northcott-style
-    bound from phi(n) >= sqrt(n/2)) need checking; each check is whether
-    minpoly divides x^n - 1, done by modular exponentiation.
+    A root of unity of order n has minimal polynomial Phi_n, of degree
+    phi(n), so the test compares a's minimal polynomial with Phi_n for each
+    n with phi(n) = degree.
     """
-    poly = a.minpoly
-    d = poly.degree
-    if poly.leading != 1 or abs(poly.constant) != 1:
-        return None
-    limit = 2 * d * d + 1
-    phi = _totient_sieve(limit)
-    mod = list(poly.coeffs)
-    for n in range(1, limit + 1):
-        if phi[n] != d:
-            continue
-        # x^n mod poly by square-and-multiply
-        result = [1]
-        base = [0, 1] if d > 1 else [-mod[0]]  # x reduced mod poly
-        e = n
-        while e:
-            if e & 1:
-                result = _poly_mulmod(result, base, mod)
-            base = _poly_mulmod(base, base, mod)
-            e >>= 1
-        if result == [1]:
-            return n
-    return None
+    return _cyclotomic_order(a.minpoly.coeffs)
 
 
 def root_of_unity(n: int, k: int = 1) -> AlgebraicNumber:
@@ -912,8 +1038,7 @@ def root_of_unity(n: int, k: int = 1) -> AlgebraicNumber:
     k %= n
     if math.gcd(k, n) != 1 and n > 1:
         raise AlgebraicError("k must be coprime to n for a primitive root")
-    cyc = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
-    poly = IntPolynomial(tuple(int(c) for c in reversed(cyc.all_coeffs())))
+    poly = IntPolynomial(_cyclotomic(n))
     if n == 1:
         return AlgebraicNumber(poly, 0)
     with mp.workdps(30):

@@ -76,7 +76,7 @@ class EmpiricalAngleMeasure:
 def _measure_at(minpoly, eps: float):
     """One certification pass: per-root (angle, angle_err, log r, err)."""
     entries = []
-    for root in roots(minpoly, eps=eps):
+    for root in roots(minpoly, eps=eps, trusted_squarefree=True):
         lo, hi = root.abs_interval()
         if not lo > 0:
             return None  # enclosure touches 0; angle undefined there

@@ -2,8 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
+from mpmath import mp, mpf
 
+from smallpoints import algebraic, equidist
 from smallpoints.algebraic import (
     AlgebraicError,
     AlgebraicNumber,
@@ -327,3 +331,196 @@ class TestRadical:
     def test_rational_radical(self):
         a = radical(Fraction(8, 27), 3)
         assert a.is_rational and a.as_rational() == Fraction(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# exact structure: cyclotomic polynomials, closed-form seeds, the index map
+# ---------------------------------------------------------------------------
+
+
+def true_roots_lex(coeffs):
+    """60-digit roots of a binomial or Phi_n from their closed forms, in
+    lexicographic (re, im) order; conjugates tie exactly in re, so re is
+    compared at 40 digits."""
+    d = len(coeffs) - 1
+    with mp.workdps(60):
+        if not any(coeffs[1:-1]):
+            rho = mp.root(mpf(abs(coeffs[0])) / abs(coeffs[-1]), d)
+            delta = 1 if (coeffs[0] > 0) == (coeffs[-1] > 0) else 0
+            zs = [rho * mp.expjpi(mpf(2 * k + delta) / d) for k in range(d)]
+        else:
+            n = algebraic._cyclotomic_order(tuple(coeffs))
+            zs = [mp.expjpi(mpf(2 * k) / n) for k in range(n) if math.gcd(k, n) == 1]
+        return sorted(zs, key=lambda z: (int(mp.nint(z.real * mpf(10) ** 40)), z.imag))
+
+
+def contains(root, z) -> bool:
+    with mp.workdps(60):
+        return abs(root.center - z) <= root.radius
+
+
+def binomial(c0, d, cd):
+    return (c0,) + (0,) * (d - 1) + (cd,)
+
+
+class TestCyclotomic:
+    def test_matches_sympy(self):
+        x = sympy.Symbol("x")
+        for n in range(1, 201):
+            want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+            assert algebraic._cyclotomic(n) == tuple(int(c) for c in reversed(want)), n
+
+    def test_recognised_exactly(self):
+        for n in range(1, 201):
+            cs = algebraic._cyclotomic(n)
+            assert algebraic._cyclotomic_order(cs) == n
+            assert is_root_of_unity(AlgebraicNumber(IntPolynomial(cs), 0)) == n
+        # same degree, monic, unit constant, palindromic, not cyclotomic
+        assert algebraic._cyclotomic_order(LEHMER.coeffs) is None
+        assert algebraic._cyclotomic_order((1, 3, 1)) is None
+
+
+class TestClosedFormSeeds:
+    """Closed-form seeds against the np.roots path they bypass."""
+
+    @staticmethod
+    def both_paths(coeffs, monkeypatch, eps=2.0**-30):
+        closed = algebraic._certify(coeffs, eps, True)
+        with monkeypatch.context() as m:
+            m.setattr(algebraic, "_closed_form_seeds", lambda cs: None)
+            general = algebraic._certify(coeffs, eps, True)
+        return closed, general
+
+    def check(self, coeffs, monkeypatch):
+        assert algebraic._closed_form_seeds(coeffs) is not None
+        want = true_roots_lex(coeffs)
+        for rs, lex in self.both_paths(coeffs, monkeypatch):
+            assert lex and len(rs) == len(want)
+            for i, (r, z) in enumerate(zip(rs, want)):
+                assert contains(r, z), (coeffs, i)
+
+    def test_binomials(self, monkeypatch):
+        rng = random.Random(2)
+        for d in list(range(2, 25)) + list(range(37, 201, 27)) + [200]:
+            for sign in (1, -1):
+                c0, cd = rng.randint(1, 50), rng.randint(1, 50)
+                self.check(binomial(sign * c0, d, cd), monkeypatch)
+
+    def test_cyclotomics(self, monkeypatch):
+        for n in range(3, 62):
+            self.check(algebraic._cyclotomic(n), monkeypatch)
+
+
+def geometric_scale(a, r):
+    """The matcher scale_by_rational used before the index map: certify the
+    scaled polynomial's roots and pick the one whose disk meets r times a's
+    enclosure."""
+    r = Fraction(r)
+    s, t = r.numerator, r.denominator
+    d = a.degree
+    cs = tuple(c * s ** (d - i) * t**i for i, c in enumerate(a.minpoly.coeffs))
+    poly = IntPolynomial(cs).primitive()
+    eps = 1e-12
+    for _ in range(30):
+        src = a.enclosure(eps)
+        with mp.workdps(60):
+            cre, cim = src.re * s / t, src.im * s / t
+            crad = src.radius * abs(mpf(s)) / t
+            cands = [
+                i
+                for i, rt in enumerate(roots(poly, eps, trusted_squarefree=True))
+                if mp.sqrt((rt.re - cre) ** 2 + (rt.im - cim) ** 2) <= rt.radius + crad
+            ]
+        if len(cands) == 1:
+            return AlgebraicNumber(poly, cands[0])
+        eps /= 256
+    raise AlgebraicError("could not match the scaled root")
+
+
+SCALES = [Fraction(1, 47**3), Fraction(1, 47), Fraction(1, 2), Fraction(3), Fraction(47),
+          Fraction(47**3)]
+SCALES += [-r for r in SCALES]
+
+
+def scaling_sources():
+    for n in (3, 4, 5, 7, 8, 12):
+        yield from conjugates(root_of_unity(n))
+    for base, m in ((2, 3), (3, 4), (Fraction(2, 3), 5), (5, 2)):
+        yield from conjugates(radical(base, m))
+
+
+class TestIndexMap:
+    def test_matches_geometric_matcher(self):
+        for a in scaling_sources():
+            alpha = true_roots_lex(a.minpoly.coeffs)[a.index]
+            for r in SCALES:
+                b = scale_by_rational(a, r)
+                assert b == geometric_scale(a, r), (a, r)
+                with mp.workdps(60):
+                    ra = alpha * mpf(r.numerator) / r.denominator
+                for eps in (1e-9, 1e-15):
+                    assert contains(b.enclosure(eps), ra), (a, r, eps)
+
+    def test_scaled_cyclotomic_regression(self):
+        # Phi_11(2352637 x) once defeated the certifier inside the matcher
+        r = Fraction(1, 2352637)
+        for k in range(1, 11):
+            a = root_of_unity(11, k)
+            b = scale_by_rational(a, r)
+            assert b.index == a.index and b.degree == 10
+
+    def test_roundtrip_negative(self):
+        a = root_of_unity(12, 5)
+        b = scale_by_rational(scale_by_rational(a, Fraction(-7, 3)), Fraction(-3, 7))
+        assert b == a
+
+
+class TestRootCache:
+    def test_finer_entry_serves_coarser_requests(self):
+        p = IntPolynomial((-3, 1, 0, 0, 0, 1))
+        algebraic._ordered_roots.cache_clear()
+        fine = roots(p, 1e-13, trusted_squarefree=True)
+        coarse = roots(p, 1e-9, trusted_squarefree=True)
+        assert coarse == fine
+        info = algebraic._ordered_roots.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        finer = roots(p, 1e-16, trusted_squarefree=True)
+        assert all(float(r.radius) <= 1e-16 for r in finer)
+        assert algebraic._ordered_roots.cache_info().misses == 2
+
+    def test_bounded(self):
+        cache = algebraic._ordered_roots
+        for k in range(cache.cache_info().maxsize + 40):
+            roots(IntPolynomial((-k, 1)), 1e-12, trusted_squarefree=True)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
+
+
+def test_closed_forms_bypass_general_solvers(monkeypatch):
+    """Radicals, roots of unity and sign-clean scalings never reach the
+    general eigenvalue or mpmath solvers."""
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("general root solver called")
+
+    monkeypatch.setattr(np, "roots", forbidden)
+    monkeypatch.setattr(mp, "polyroots", forbidden)
+    algebraic._ordered_roots.cache_clear()
+    rng = random.Random(3)
+    for n in range(2, 201):
+        p, q = rng.sample((2, 3, 5, 7, 11, 13), 2)
+        a = radical(Fraction(p, q), n)
+        assert abs(weil_height(a) - math.log(max(p, q)) / n) <= 1e-12
+        if n % 9 == 0:
+            equidist.orbit_measure(a)
+        for r in (Fraction(-1, 47**3), Fraction(47**3)):
+            scale_by_rational(a, r)
+    for n in range(1, 62):
+        for k in range(n):
+            if math.gcd(k, n) == 1:
+                z = root_of_unity(n, k)
+                assert weil_height(z) == 0.0
+                scale_by_rational(z, Fraction(-2, 3))
+        equidist.orbit_measure(root_of_unity(n))
+    assert calls == []
