@@ -80,7 +80,6 @@ from .semiabelian import (
     SemiabelianPoint,
     SubgroupGamma,
     explore_theorem,
-    product_height,
 )
 
 __all__ = ["ExperimentConfig", "main"]

@@ -30,12 +30,12 @@ normalization that heights exceed a positive constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .algebraic import TorusElement, is_root_of_unity, torus_height, weil_height
-from .elliptic import ECPoint, EllipticCurveQ, canonical_height, is_torsion
+from .algebraic import TorusElement
+from .elliptic import ECPoint, EllipticCurveQ
+from .semiabelian import SemiabelianPoint, height_parts
 
 __all__ = [
     "DynamicsError",
@@ -128,48 +128,21 @@ class HeightedSystem:
         return self.m * self.m if self.domain == "elliptic" else self.m
 
 
-Point = Union[TorusElement, ECPoint, "SemiabelianPoint"]
+Point = Union[TorusElement, ECPoint, SemiabelianPoint]
 
 
 def _base_components(system: HeightedSystem, z: Point):
     """(h_quadratic, err_q, h_linear, err_l, exactly_zero) so that the
     height after N steps is m^(2N) h_quadratic + m^N h_linear + shift."""
-    tol = system.tol
-    ulp = 2.0**-50
+    kind = {"torus": TorusElement, "elliptic": ECPoint,
+            "product": SemiabelianPoint}[system.domain]
+    if not isinstance(z, kind):
+        raise DynamicsError(f"{system.domain} system expects {kind.__name__} points")
     if system.domain == "torus":
-        if not isinstance(z, TorusElement):
-            raise DynamicsError("torus system expects TorusElement points")
-        if z.exponent == 0 or is_root_of_unity(z.base) is not None:
-            return 0.0, 0.0, 0.0, 0.0, True
-        v = torus_height(z, tol)
-        # the returned float64 cannot be certified below ulp scale
-        return 0.0, 0.0, v, tol + abs(v) * ulp, False
+        return height_parts(None, None, (z,), system.tol)
     if system.domain == "elliptic":
-        if not isinstance(z, ECPoint):
-            raise DynamicsError("elliptic system expects ECPoint points")
-        if z.is_identity or is_torsion(system.curve, z):
-            return 0.0, 0.0, 0.0, 0.0, True
-        v = canonical_height(system.curve, z, tol)
-        return v, tol + abs(v) * ulp, 0.0, 0.0, False
-    from .semiabelian import SemiabelianPoint
-
-    if not isinstance(z, SemiabelianPoint):
-        raise DynamicsError("product system expects SemiabelianPoint points")
-    parts = 1 + len(z.torus)
-    each = tol / parts
-    hq = eq = hl = el = 0.0
-    zero = True
-    if not (z.ec.is_identity or is_torsion(system.curve, z.ec)):
-        hq = canonical_height(system.curve, z.ec, each)
-        eq = each + hq * ulp
-        zero = False
-    for t in z.torus:
-        if not t.is_unit_circle():
-            v = torus_height(t, each)
-            hl += v
-            el += each + v * ulp
-            zero = False
-    return hq, eq, hl, el, zero
+        return height_parts(system.curve, z, (), system.tol)
+    return height_parts(system.curve, z.ec, z.torus, system.tol)
 
 
 def system_height(system: HeightedSystem, z: Point) -> float:
@@ -200,11 +173,6 @@ def _exceeds(value: float, err: float, threshold: float) -> Optional[bool]:
     if value + err <= threshold:
         return False
     return None
-
-
-def _height_after(system: HeightedSystem, h0: float, steps: int) -> float:
-    """Shifted height after `steps` applications, given unshifted base h0."""
-    return system.growth**steps * h0 + system.shift
 
 
 def n_from_components(

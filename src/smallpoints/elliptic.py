@@ -19,7 +19,16 @@ so after an exact big-integer prefix the orbit continues in interval
 arithmetic, while the gcd cancellation g_k = gcd(F, G) (which the naive
 height depends on) is tracked exactly through l-adic residues: g_k divides
 the Bezout resultant R1, so only primes dividing R1 can cancel, and their
-valuations are read off residues of p_k, q_k modulo l^K.
+valuations are read off residues of p_k, q_k modulo l^K. The exact prefix
+uses the same fact: F = p^4 (mod q) with gcd(p, q) = 1 makes g_k coprime
+to q, and g_k divides R1 q^7, so g_k = gcd(R1, F mod R1, G mod R1), which
+costs a reduction instead of a full-width gcd.
+
+Torsion is settled by Nagell-Lutz before any group law runs: on the
+integral model a torsion point has integer coordinates with y = 0 or
+y^2 | 4A^3 + 27B^2, and so has every point of its doubling orbit, which
+the duplication forms walk in integers; a point failing either is not
+torsion.
 """
 
 from __future__ import annotations
@@ -98,18 +107,10 @@ class EllipticCurveQ:
         den = math.lcm(self.a.denominator, self.b.denominator)
         u = 1
         for ell, _ in sympy.factorint(den).items():
-            va = _val_int(self.a.denominator, ell)
-            vb = _val_int(self.b.denominator, ell)
+            va = _residue_val(self.a.denominator, ell)
+            vb = _residue_val(self.b.denominator, ell)
             u *= int(ell) ** max(-(-va // 4), -(-vb // 6))
         return EllipticCurveQ(self.a * u**4, self.b * u**6), u
-
-
-def _val_int(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,48 @@ def naive_height(point: ECPoint) -> float:
 
 
 def is_torsion(curve: EllipticCurveQ, point: ECPoint, kmax: int = 12) -> bool:
-    """Exact: kP = O for some 1 <= k <= kmax (12 suffices over Q)."""
+    """Exact: kP = O for some 1 <= k <= kmax (12 suffices over Q, by Mazur).
+
+    Nagell-Lutz pre-test (Silverman, AEC VIII.7.2): mapped to the integral
+    model y^2 = x^3 + A x + B by (u^2 x, u^3 y), a torsion point has integer
+    coordinates with y = 0 or y^2 | 4A^3 + 27B^2, and so has each point of
+    its doubling orbit P, 2P, 4P, ... (_doubling_orbit_torsion). A point
+    failing that is not torsion and costs no group-law step; only torsion
+    points run the kmax loop.
+    """
     require_on_curve(curve, point)
+    if not point.is_identity:
+        # y is an integer whenever x is: y^2 = x^3 + A x + B
+        A, B, x, q = _integral_x(curve, point)
+        if q != 1 or not _doubling_orbit_torsion(A, B, x):
+            return False
     acc = ECPoint.identity()
     for _ in range(kmax):
         acc = ec_add(curve, acc, point)
         if acc.is_identity:
             return True
     return False
+
+
+def _doubling_orbit_torsion(A: int, B: int, x: int) -> bool:
+    """Is the integral point with abscissa x on y^2 = x^3 + A x + B torsion?
+
+    Nagell-Lutz is applied along x(P), x(2P), x(4P), ... in integers: a
+    failing point makes P non-torsion; reaching y = 0 (2-torsion) or a
+    repeated x (2^a P = +-2^b P, a != b) makes it torsion. A non-torsion
+    orbit never repeats an x, and only finitely many x pass the test, so
+    the walk ends."""
+    disc = abs(4 * A**3 + 27 * B**2)
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        F, G = _dup_forms(A, B, x, 1)  # G = 4 y^2
+        if G == 0:
+            return True
+        if disc % (G // 4) or F % G:
+            return False
+        x = F // G
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +253,8 @@ class DuplicationEnvelope:
     R1, R2 are the cleared-denominator Bezout constants:
       U1*F + V1*G = R1 * q^7   and   U2*F + V2*G = R2 * p^7
     with integer coefficient forms U*, V*; gcd(F, G) divides R1.
+    R1_factors (prime, exponent) and the witness primes (near 2^61, not
+    dividing R1) serve the interval continuation's residue trackers.
     """
 
     C: float
@@ -226,6 +263,8 @@ class DuplicationEnvelope:
     D1: int
     D2: int
     C_upper: float
+    R1_factors: Tuple[Tuple[int, int], ...]
+    witnesses: Tuple[int, ...]
 
 
 _Y = sympy.Symbol("y")
@@ -265,7 +304,11 @@ def _envelope_cached(A: int, B: int) -> DuplicationEnvelope:
         C = float(
             max(mp.log(c_upper), mp.log(D1), mp.log(mpf(D2) * R1 / R2)) * (1 + mpf(1e-12))
         )
-    return DuplicationEnvelope(C=C, R1=R1, R2=R2, D1=D1, D2=D2, C_upper=float(mp.log(c_upper)))
+    return DuplicationEnvelope(
+        C=C, R1=R1, R2=R2, D1=D1, D2=D2, C_upper=float(mp.log(c_upper)),
+        R1_factors=tuple((int(ell), int(c)) for ell, c in sympy.factorint(R1).items()),
+        witnesses=tuple(_witness_primes(R1)),
+    )
 
 
 def duplication_envelope(curve: EllipticCurveQ) -> DuplicationEnvelope:
@@ -347,6 +390,7 @@ class _ResidueTracker:
 
 
 def _residue_val(r: int, ell: int) -> Optional[int]:
+    """v_ell(r); None for r = 0."""
     if r == 0:
         return None
     v = 0
@@ -396,10 +440,8 @@ def _interval_continue(A, B, p0, q0, start, n_target, env, dps):
     _SuspectedExactZero if an exact F = 0 cannot be ruled out.
     """
     steps = n_target - start
-    trackers = []
-    for ell, c in sympy.factorint(env.R1).items():
-        trackers.append(_ResidueTracker(int(ell), int(c), steps, p0, q0))
-    witnesses = [_WitnessTracker(w, p0, q0) for w in _witness_primes(env.R1)]
+    trackers = [_ResidueTracker(ell, c, steps, p0, q0) for ell, c in env.R1_factors]
+    witnesses = [_WitnessTracker(w, p0, q0) for w in env.witnesses]
 
     old_prec = iv.prec
     try:
@@ -443,6 +485,7 @@ def _interval_continue(A, B, p0, q0, start, n_target, env, dps):
 def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=False):
     """Certified 4^(-n) h_n with n chosen so tail + evaluation error <= tol."""
     env = _envelope_cached(A, B)
+    R1 = env.R1
     # internal target stricter than tol so m^2-linear combinations of
     # results stay within acceptance-style bands
     tail = tol / 32
@@ -456,7 +499,8 @@ def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=
             F, G = _dup_forms(A, B, p, q)
             if G == 0:
                 raise EllipticError("duplication orbit hit a 2-torsion point")
-            g = math.gcd(abs(F), abs(G))
+            # exact: gcd(F, G) divides R1 (module docstring)
+            g = math.gcd(R1, F % R1, G % R1)
             p, q = F // g, G // g
             if q < 0:
                 p, q = -p, -q
@@ -524,12 +568,20 @@ def canonical_height(curve: EllipticCurveQ, point: ECPoint, tol: float = 1e-8) -
         raise EllipticError("tol must be positive")
     if point.is_identity or is_torsion(curve, point):
         return 0.0
+    return nontorsion_height(curve, point, tol)
+
+
+def nontorsion_height(curve: EllipticCurveQ, point: ECPoint, tol: float) -> float:
+    """canonical_height of a point the caller has already found not to be
+    torsion: the certified duplication limit without a second torsion test."""
+    return _hybrid_height(*_integral_x(curve, point), tol)[0]
+
+
+def _integral_x(curve: EllipticCurveQ, point: ECPoint) -> Tuple[int, int, int, int]:
+    """(A, B, p, q): the integral model and x = p/q of the point on it."""
     icurve, u = curve.integral_model()
     x = point.x * u * u
-    val, _, _, _ = _hybrid_height(
-        int(icurve.a), int(icurve.b), x.numerator, x.denominator, tol
-    )
-    return val
+    return int(icurve.a), int(icurve.b), x.numerator, x.denominator
 
 
 def canonical_height_estimates(
@@ -540,12 +592,7 @@ def canonical_height_estimates(
     require_on_curve(curve, point)
     if point.is_identity or is_torsion(curve, point):
         return [0.0]
-    icurve, u = curve.integral_model()
-    x = point.x * u * u
-    _, _, ests, _ = _hybrid_height(
-        int(icurve.a), int(icurve.b), x.numerator, x.denominator, tol, want_estimates=True
-    )
-    return ests
+    return _hybrid_height(*_integral_x(curve, point), tol, want_estimates=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -554,37 +601,20 @@ def canonical_height_estimates(
 
 
 def torsion_points(curve: EllipticCurveQ) -> List[ECPoint]:
-    """All torsion points, via Lutz-Nagell candidates checked exactly.
+    """All torsion points, via Lutz-Nagell candidates decided exactly.
 
     Candidates on the integral model have integer coordinates with y = 0 or
-    y^2 dividing 16(4A^3 + 27B^2); every candidate is verified with kP = O,
-    k <= 12, so the superset does not matter.
+    y^2 dividing 16(4A^3 + 27B^2); the doubling walk decides each, so the
+    superset does not matter. Points map back by x = X / u^2, y = Y / u^3.
     """
     icurve, u = curve.integral_model()
     A, B = int(icurve.a), int(icurve.b)
-    disc16 = 16 * abs(4 * A**3 + 27 * B**2)
-    ys = {0}
-    for d in _square_divisors(disc16):
-        ys.add(d)
-    found = [ECPoint.identity()]
-    seen = set()
-    for y in sorted(ys):
+    found = {ECPoint.identity()}
+    for y in [0] + _square_divisors(16 * abs(4 * A**3 + 27 * B**2)):
         for x in _integer_cubic_roots(A, B - y * y):
-            for sy in ({0} if y == 0 else {y, -y}):
-                if (x, sy) in seen:
-                    continue
-                seen.add((x, sy))
-                pt = ECPoint(Fraction(x), Fraction(sy))
-                if icurve.contains(pt.x, pt.y) and is_torsion(icurve, pt):
-                    found.append(pt)
-    # map back to the original model: x = X / u^2, y = Y / u^3
-    out = []
-    for pt in found:
-        if pt.is_identity:
-            out.append(pt)
-        else:
-            out.append(ECPoint(pt.x / u**2, pt.y / u**3))
-    return sorted(out, key=lambda t: (0,) if t.is_identity else (1, t.x, t.y))
+            if _doubling_orbit_torsion(A, B, x):
+                found.update(ECPoint(Fraction(x, u**2), Fraction(s, u**3)) for s in (y, -y))
+    return sorted(found, key=lambda t: (0,) if t.is_identity else (1, t.x, t.y))
 
 
 def _square_divisors(n: int) -> List[int]:

@@ -29,12 +29,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebraic import (
-    AlgebraicNumber,
     IntPolynomial,
     TorusElement,
     radical,
@@ -45,11 +44,11 @@ from .algebraic import (
 from .elliptic import (
     ECPoint,
     EllipticCurveQ,
-    canonical_height,
     ec_add,
     ec_mul,
     ec_neg,
     is_torsion,
+    nontorsion_height,
     require_on_curve,
     torsion_points,
 )
@@ -206,24 +205,28 @@ class SubgroupGamma:
 # ---------------------------------------------------------------------------
 
 
-def _height_parts(A: AmbientVariety, z: SemiabelianPoint, tol: float):
-    """(height, error bound, exactly_zero) for the product height."""
-    z.on_variety(A)
-    parts = 1 + len(z.torus)
-    each = tol / parts
-    total = 0.0
-    err = 0.0
+def height_parts(curve: Optional[EllipticCurveQ], ec: Optional[ECPoint],
+                 torus: Sequence[TorusElement], tol: float):
+    """(hq, eq, hl, el, exactly_zero) for the point (ec, torus), ec None on
+    the torus alone: hq = hhat(ec) scales by m^2 under P -> mP, hl = sum of
+    h(t_i) by m under t -> t^m, and eq, el bound their errors. Torsion and
+    roots of unity are decided once, exactly, as exact zeros; every other
+    part gets tol / parts plus |h| ulp (float64 is not certified below)."""
+    each = tol / ((ec is not None) + len(torus))
+    ulp = 2.0**-50
+    hq = eq = hl = el = 0.0
     zero = True
-    if not (z.ec.is_identity or is_torsion(A.curve, z.ec)):
-        total += canonical_height(A.curve, z.ec, each)
-        err += each
+    if ec is not None and not (ec.is_identity or is_torsion(curve, ec)):
+        hq = nontorsion_height(curve, ec, each)
+        eq = each + hq * ulp
         zero = False
-    for t in z.torus:
+    for t in torus:
         if not t.is_unit_circle():
-            total += torus_height(t, each)
-            err += each
+            v = torus_height(t, each)
+            hl += v
+            el += each + v * ulp
             zero = False
-    return total, err, zero
+    return hq, eq, hl, el, zero
 
 
 def product_height(A: AmbientVariety, z: SemiabelianPoint, tol: float = 1e-9) -> float:
@@ -231,8 +234,9 @@ def product_height(A: AmbientVariety, z: SemiabelianPoint, tol: float = 1e-9) ->
     torsion x roots of unity."""
     if not tol > 0:
         raise SemiabelianError("tol must be positive")
-    total, _, _ = _height_parts(A, z, tol)
-    return total
+    z.on_variety(A)
+    hq, _, hl, _, _ = height_parts(A.curve, z.ec, z.torus, tol)
+    return hq + hl
 
 
 def in_B_eps(
@@ -244,7 +248,9 @@ def in_B_eps(
         raise SemiabelianError("eps must be >= 0")
     if not tol > 0:
         raise SemiabelianError("tol must be positive")
-    h, err, zero = _height_parts(A, z, tol)
+    z.on_variety(A)
+    hq, eq, hl, el, zero = height_parts(A.curve, z.ec, z.torus, tol)
+    h, err = hq + hl, eq + el
     if zero:
         return BallVerdict.IN
     if h + err <= eps:
@@ -279,11 +285,6 @@ def _torus_mul(a: TorusElement, b: TorusElement) -> Optional[TorusElement]:
     if a.base == b.base:
         return TorusElement(a.base, a.exponent + b.exponent)
     return None
-
-
-def _torus_div(a: TorusElement, b: TorusElement) -> Optional[TorusElement]:
-    inv = TorusElement(b.base, -b.exponent)
-    return _torus_mul(a, inv)
 
 
 def _point_add(A: AmbientVariety, p: SemiabelianPoint,
@@ -629,8 +630,7 @@ def explore_theorem(
             diff = _point_sub(A, hit_points[i], hit_points[j])
             if diff is None:
                 continue
-            _, _, zero = _height_parts(A, diff, config.tol)
-            if zero:
+            if height_parts(A.curve, diff.ec, diff.torus, config.tol)[4]:
                 parent[find(i)] = find(j)
     groups: Dict[int, List[int]] = {}
     for i in range(len(hits)):

@@ -289,3 +289,182 @@ class TestIntegralModel:
         assert icurve.a == curve.a * u**4
         assert icurve.b == curve.b * u**6
         assert icurve.a.denominator == 1 and icurve.b.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# exact shortcuts against the general paths they bypass
+# ---------------------------------------------------------------------------
+
+# the curve-heights benchmark's verified non-torsion pairs
+HEIGHT_PAIRS = [
+    (EllipticCurveQ(0, -2), ECPoint.of(3, 5)),
+    (EllipticCurveQ(0, 17), ECPoint.of(-2, 3)),
+    (EllipticCurveQ(-1, 1), ECPoint.of(1, 1)),
+    (EllipticCurveQ(0, 3), ECPoint.of(1, 2)),
+    (EllipticCurveQ(-7, 10), ECPoint.of(1, 2)),
+]
+
+
+def loop_is_torsion(curve, point, kmax=12):
+    """The 12-step group-law loop, as is_torsion ran before its pre-test."""
+    acc = ECPoint.identity()
+    for _ in range(kmax):
+        acc = ec_add(curve, acc, point)
+        if acc.is_identity:
+            return True
+    return False
+
+
+def tate_normal(b, c):
+    """y^2 + (1-c)xy - by = x^3 - bx^2 in short form, with (0, 0) moved."""
+    red = from_long_weierstrass(1 - c, -b, -b, 0, 0)
+    return red.curve, red.to_short(ECPoint.of(0, 0))
+
+
+def kubert_table():
+    """(curve, point of the given order) for every cyclic group of Mazur's
+    list of order >= 4 and for Z/2 x Z/4, Z/2 x Z/6 (Kubert's Tate normal
+    forms; the short models have non-integral coefficients)."""
+    t, s = Fraction(2), Fraction(3)
+    c9 = t * t * (t - 1)
+    den = s * s - 3 * s + 1
+    m = (3 * s - 3 * s * s - 1) / (s - 1)
+    d = m + s
+    c12 = m / (1 - s) * (d - 1)
+    c26 = Fraction(-6, 5)
+    return [
+        (4, tate_normal(t, 0)),
+        (5, tate_normal(t, t)),
+        (6, tate_normal(t + t * t, t)),
+        (7, tate_normal(t**3 - t**2, t**2 - t)),
+        (8, tate_normal((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t)),
+        (9, tate_normal(c9 * (t * t - t + 1), c9)),
+        (10, tate_normal(s**3 * (s - 1) * (2 * s - 1) / den**2,
+                         -s * (s - 1) * (2 * s - 1) / den)),
+        (12, tate_normal(c12 * d, c12)),
+        (4, tate_normal(Fraction(15, 16), 0)),  # Z/2 x Z/4
+        (6, tate_normal(c26 + c26 * c26, c26)),  # Z/2 x Z/6
+    ]
+
+
+def rescale(curve, point, u):
+    """The same curve and point on the model (a/u^4, b/u^6)."""
+    scaled = EllipticCurveQ(curve.a / u**4, curve.b / u**6)
+    if point.is_identity:
+        return scaled, point
+    return scaled, ECPoint(point.x / u**2, point.y / u**3)
+
+
+class TestNagellLutzPretest:
+    def test_torsion_tables_agree_with_loop(self):
+        cases = []
+        for curve in (EllipticCurveQ(0, 1), EllipticCurveQ(-1, 0), EllipticCurveQ(0, 4),
+                      EllipticCurveQ(-43, 166), EllipticCurveQ(4, 0)):
+            pts = torsion_points(curve)
+            cases += [(curve, ec_mul(curve, k, p)) for p in pts for k in range(1, 13)]
+        for order, (curve, gen) in kubert_table():
+            assert loop_is_torsion(curve, gen, order)
+            assert not loop_is_torsion(curve, gen, order - 1)
+            cases += [(curve, ec_mul(curve, k, gen)) for k in range(1, order + 1)]
+        # group sizes cover Mazur's orders 1-10, 12 and the Z/2 x Z/2n groups
+        assert len(torsion_points(EllipticCurveQ(-43, 166))) == 7
+        checked = 0
+        for curve, p in cases:
+            for u in (1, 2, 3, 6):
+                c, q = rescale(curve, p, u)
+                assert loop_is_torsion(c, q)
+                assert is_torsion(c, q)
+                checked += 1
+        assert checked > 400
+
+    def test_non_torsion_multiples_agree_with_loop(self):
+        # the loop copy is run for k <= 12; past that its cost grows like
+        # k^4, and kP is torsion exactly when P is, so the loop's verdict
+        # on P stands for every k
+        for curve, base in HEIGHT_PAIRS:
+            assert not loop_is_torsion(curve, base)
+            q = ECPoint.identity()
+            for k in range(1, 31):
+                q = ec_add(curve, q, base)
+                if k <= 12:
+                    assert not loop_is_torsion(curve, q)
+                assert not is_torsion(curve, q)
+                for u in (2, 3, 6):
+                    assert not is_torsion(*rescale(curve, q, u))
+
+    def test_integral_points_agree_with_loop(self):
+        # integral points on small curves: many pass Nagell-Lutz at P
+        # itself and are settled by the doubling walk
+        walked = torsion = 0
+        for A in range(-6, 7):
+            for B in range(-6, 7):
+                if 4 * A**3 + 27 * B**2 == 0:
+                    continue
+                curve = EllipticCurveQ(A, B)
+                disc = abs(4 * A**3 + 27 * B**2)
+                for x in range(-3, 40):
+                    y2 = x**3 + A * x + B
+                    y = math.isqrt(y2) if y2 >= 0 else -1
+                    if y * y != y2:
+                        continue
+                    p = ECPoint.of(x, y)
+                    want = loop_is_torsion(curve, p)
+                    assert is_torsion(curve, p) == want
+                    assert is_torsion(*rescale(curve, p, 3)) == want
+                    walked += not want and (y == 0 or disc % (y * y) == 0)
+                    torsion += want
+        assert walked > 50 and torsion > 20
+
+    def test_fast_path_uses_no_group_law(self, monkeypatch):
+        # non-torsion points must be settled by the pre-test alone
+        points = [(curve, ec_mul(curve, k, base))
+                  for curve, base in HEIGHT_PAIRS for k in range(2, 17)]
+
+        def forbidden(*args):
+            raise AssertionError("is_torsion ran the group law")
+
+        monkeypatch.setattr(el, "ec_add", forbidden)
+        for curve, q in points:
+            assert not is_torsion(curve, q)
+
+
+class TestPrefixGcd:
+    @staticmethod
+    def orbit_gcds(curve, point, max_bits=1 << 14):
+        """(R1, F, G) along the exact duplication orbit of x(point)."""
+        A, B, p, q = el._integral_x(curve, point)
+        R1 = el._envelope_cached(A, B).R1
+        while max(abs(p).bit_length(), q.bit_length()) <= max_bits:
+            F, G = el._dup_forms(A, B, p, q)
+            if G == 0:
+                return
+            yield R1, F, G
+            g = math.gcd(F, G)
+            p, q = F // g, G // g
+            if q < 0:
+                p, q = -p, -q
+
+    def test_mod_r1_gcd_equals_full_gcd(self):
+        cases = list(HEIGHT_PAIRS) + [
+            # 2P = (0, 1): F vanishes, gcd(F, G) = |G|
+            (EllipticCurveQ(8, 1), ECPoint.of(2, 5)),
+            # y = 1 on y^2 = x^3 - x + 1: one step from the 2-torsion locus
+            (EllipticCurveQ(-1, 1), ECPoint.of(0, 1)),
+            # non-integral model: the orbit runs on the integral one
+            rescale(EllipticCurveQ(0, -2), ECPoint.of(3, 5), 6),
+        ]
+        steps = cancelling = 0
+        for curve, point in cases:
+            for R1, F, G in self.orbit_gcds(curve, point):
+                full = math.gcd(abs(F), abs(G))
+                assert math.gcd(R1, F % R1, G % R1) == full
+                steps += 1
+                cancelling += full > 1
+        assert steps > 50 and cancelling > 10
+
+    def test_envelope_carries_per_curve_data(self):
+        env = duplication_envelope(E_MINUS2)
+        assert dict(env.R1_factors) == {2: 4, 3: 2}
+        assert len(env.witnesses) == 3
+        for w in env.witnesses:
+            assert w > 1 << 61 and env.R1 % w != 0

@@ -3,12 +3,29 @@ loci, and the bounded theorem explorer on E x G_m^n."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from smallpoints.algebraic import TorusElement, radical, root_of_unity
-from smallpoints.elliptic import ECPoint, EllipticCurveQ, canonical_height, ec_mul
+import smallpoints.elliptic as el
+import smallpoints.semiabelian as sa
+from smallpoints.algebraic import TorusElement, radical, root_of_unity, torus_height
+from smallpoints.dynamics import (
+    HeightedSystem,
+    StarParams,
+    is_preperiodic,
+    n_from_components,
+    n_function,
+)
+from smallpoints.elliptic import (
+    ECPoint,
+    EllipticCurveQ,
+    canonical_height,
+    ec_add,
+    ec_mul,
+    is_torsion,
+)
 from smallpoints.semiabelian import (
     AmbientVariety,
     BallVerdict,
@@ -141,6 +158,93 @@ class TestInBeps:
     def test_validation(self):
         with pytest.raises(SemiabelianError):
             in_B_eps(AMBIENT, AMBIENT.identity(), -0.1)
+
+
+ULP = 2.0**-50
+
+
+def reference_components(curve, z, tol):
+    """dynamics' product branch as it stood before the kernel replaced it
+    and semiabelian's copy: (hq, eq, hl, el, zero), errors with |h| ulp."""
+    each = tol / (1 + len(z.torus))
+    hq = eq = hl = el = 0.0
+    zero = True
+    if not (z.ec.is_identity or is_torsion(curve, z.ec)):
+        hq = canonical_height(curve, z.ec, each)
+        eq = each + hq * ULP
+        zero = False
+    for t in z.torus:
+        if not t.is_unit_circle():
+            v = torus_height(t, each)
+            hl += v
+            el += each + v * ULP
+            zero = False
+    return hq, eq, hl, el, zero
+
+
+class TestHeightKernel:
+    # y^2 = x^3 - 2x: (0, 0) is 2-torsion, (-1, 1) has infinite order
+    CURVE = EllipticCurveQ(-2, 0)
+    TOL = 1e-9
+    STAR = StarParams(r=1, M=20.0, c=1.9)
+
+    @classmethod
+    def points(cls):
+        rng = random.Random(41)
+        base, two = ECPoint.of(-1, 1), ECPoint.of(0, 0)
+        ecs = [ec_add(cls.CURVE, ec_mul(cls.CURVE, k, base), t)
+               for k in range(-2, 3) for t in (ECPoint.identity(), two)]
+        torus = [t_rat(2), t_rat(Fraction(3, 5)), t_rat(1), t_rou(3), t_rou(5, 2),
+                 t_rad(2, 3), TorusElement(radical(Fraction(3), 4), -2)]
+        # torsion x roots of unity (ecs[4:6] are O and (0, 0)), then a mix
+        out = [pt(ec, *ts) for ec in ecs[4:6]
+               for ts in ((t_rou(3),), (t_rou(5, 2), t_rou(7, 2)), (t_rat(1),))]
+        for _ in range(30):
+            n = rng.choice((1, 2))
+            out.append(pt(rng.choice(ecs), *rng.sample(torus, n)))
+        return out
+
+    def test_product_heights_and_verdicts_unchanged(self):
+        zeros = 0
+        for z in self.points():
+            A = AmbientVariety(self.CURVE, len(z.torus))
+            hq, eq, hl, el, zero = reference_components(self.CURVE, z, self.TOL)
+            zeros += zero
+            h = hq + hl
+            err = eq + el - h * ULP  # semiabelian's copy had no ulp term
+            got = product_height(A, z, self.TOL)
+            assert abs(got - h) <= 4 * ULP * max(1.0, h)
+            assert (got == 0.0) == zero
+            for eps in (0.0, 0.05, 0.3, 1.0, 2.5):
+                want = (BallVerdict.IN if zero or h + err <= eps else
+                        BallVerdict.OUT if h - err > eps else BallVerdict.BOUNDARY)
+                assert in_B_eps(A, z, eps, self.TOL) is want
+            system = HeightedSystem("product", 2, curve=self.CURVE, tol=self.TOL)
+            assert is_preperiodic(system, z) == zero
+            want_n = n_from_components((hq, eq), (hl, el), 2, 0.0, self.STAR.M, 64, zero)
+            assert n_function(system, z, self.STAR) == want_n
+        assert zeros >= 6
+
+    def test_kernel_decides_torsion_once(self, monkeypatch):
+        # counted wherever it runs: in the kernel or in canonical_height
+        calls = []
+        real = el.is_torsion
+        counted = lambda c, p: calls.append(p) or real(c, p)  # noqa: E731
+        monkeypatch.setattr(sa, "is_torsion", counted)
+        monkeypatch.setattr(el, "is_torsion", counted)
+        z = pt(ECPoint.of(-1, 1), t_rat(2))
+        system = HeightedSystem("product", 2, curve=self.CURVE)
+        n_function(system, z, self.STAR)
+        assert len(calls) == 1
+
+    def test_ball_error_covers_ulp(self):
+        # eps = h + tol sits inside the band once the |h| ulp term counts
+        # (a bound of tol alone, as product heights had, says In)
+        A = AmbientVariety(self.CURVE, 0)
+        z = pt(ec_mul(self.CURVE, 3, ECPoint.of(-1, 1)))
+        h, err, _, _, zero = sa.height_parts(self.CURVE, z.ec, z.torus, self.TOL)
+        assert not zero and err == self.TOL + h * ULP
+        assert in_B_eps(A, z, h + self.TOL, self.TOL) is BallVerdict.BOUNDARY
 
 
 class TestGammaEnumerate:
