@@ -24,11 +24,11 @@ uses the same fact: F = p^4 (mod q) with gcd(p, q) = 1 makes g_k coprime
 to q, and g_k divides R1 q^7, so g_k = gcd(R1, F mod R1, G mod R1), which
 costs a reduction instead of a full-width gcd.
 
-Torsion is settled by Nagell-Lutz before any group law runs: on the
-integral model a torsion point has integer coordinates with y = 0 or
+Torsion is decided by Nagell-Lutz without the group law: on the integral
+model a torsion point has integer coordinates with y = 0 or
 y^2 | 4A^3 + 27B^2, and so has every point of its doubling orbit, which
 the duplication forms walk in integers; a point failing either is not
-torsion.
+torsion, and reaching y = 0 or a repeated x shows that P is torsion.
 """
 
 from __future__ import annotations
@@ -196,28 +196,22 @@ def naive_height(point: ECPoint) -> float:
         return float(mp.log(mpf(max(n, d))))
 
 
-def is_torsion(curve: EllipticCurveQ, point: ECPoint, kmax: int = 12) -> bool:
-    """Exact: kP = O for some 1 <= k <= kmax (12 suffices over Q, by Mazur).
+def is_torsion(curve: EllipticCurveQ, point: ECPoint) -> bool:
+    """Exact torsion test by Nagell-Lutz (Silverman, AEC VIII.7.2).
 
-    Nagell-Lutz pre-test (Silverman, AEC VIII.7.2): mapped to the integral
-    model y^2 = x^3 + A x + B by (u^2 x, u^3 y), a torsion point has integer
-    coordinates with y = 0 or y^2 | 4A^3 + 27B^2, and so has each point of
-    its doubling orbit P, 2P, 4P, ... (_doubling_orbit_torsion). A point
-    failing that is not torsion and costs no group-law step; only torsion
-    points run the kmax loop.
+    Mapped to the integral model y^2 = x^3 + A x + B by (u^2 x, u^3 y), a
+    torsion point has integer coordinates with y = 0 or y^2 | 4A^3 + 27B^2,
+    and so has each point of its doubling orbit P, 2P, 4P, ...
+    _doubling_orbit_torsion walks that orbit in integers and decides both
+    ways; torsion_points decides its candidates with the same walk. No
+    group-law step is taken.
     """
     require_on_curve(curve, point)
-    if not point.is_identity:
-        # y is an integer whenever x is: y^2 = x^3 + A x + B
-        A, B, x, q = _integral_x(curve, point)
-        if q != 1 or not _doubling_orbit_torsion(A, B, x):
-            return False
-    acc = ECPoint.identity()
-    for _ in range(kmax):
-        acc = ec_add(curve, acc, point)
-        if acc.is_identity:
-            return True
-    return False
+    if point.is_identity:
+        return True
+    # y is an integer whenever x is: y^2 = x^3 + A x + B
+    A, B, x, q = _integral_x(curve, point)
+    return q == 1 and _doubling_orbit_torsion(A, B, x)
 
 
 def _doubling_orbit_torsion(A: int, B: int, x: int) -> bool:
@@ -604,13 +598,14 @@ def torsion_points(curve: EllipticCurveQ) -> List[ECPoint]:
     """All torsion points, via Lutz-Nagell candidates decided exactly.
 
     Candidates on the integral model have integer coordinates with y = 0 or
-    y^2 dividing 16(4A^3 + 27B^2); the doubling walk decides each, so the
-    superset does not matter. Points map back by x = X / u^2, y = Y / u^3.
+    y^2 dividing 4A^3 + 27B^2 (the Nagell-Lutz bound, Silverman AEC
+    VIII.7.2, that the doubling walk applies too); the walk decides each.
+    Points map back by x = X / u^2, y = Y / u^3.
     """
     icurve, u = curve.integral_model()
     A, B = int(icurve.a), int(icurve.b)
     found = {ECPoint.identity()}
-    for y in [0] + _square_divisors(16 * abs(4 * A**3 + 27 * B**2)):
+    for y in [0] + _square_divisors(abs(4 * A**3 + 27 * B**2)):
         for x in _integer_cubic_roots(A, B - y * y):
             if _doubling_orbit_torsion(A, B, x):
                 found.update(ECPoint(Fraction(x, u**2), Fraction(s, u**3)) for s in (y, -y))

@@ -306,7 +306,8 @@ HEIGHT_PAIRS = [
 
 
 def loop_is_torsion(curve, point, kmax=12):
-    """The 12-step group-law loop, as is_torsion ran before its pre-test."""
+    """The 12-step group-law loop (enough over Q, by Mazur): the reference
+    the Nagell-Lutz decision in is_torsion is checked against."""
     acc = ECPoint.identity()
     for _ in range(kmax):
         acc = ec_add(curve, acc, point)
@@ -377,6 +378,17 @@ class TestNagellLutzPretest:
                 checked += 1
         assert checked > 400
 
+    def test_torsion_points_finds_kubert_groups(self):
+        # candidates with y^2 | 4A^3 + 27B^2 find every torsion point; the
+        # Z/12 curve is left out for time (its integral model has A ~ -4e10)
+        sizes = {4: [4, 8], 5: [5], 6: [6, 12], 7: [7], 8: [8], 9: [9], 10: [10]}
+        for order, (curve, gen) in kubert_table():
+            if order == 12:
+                continue
+            pts = torsion_points(curve)
+            assert len(pts) == sizes[order].pop(0)
+            assert all(ec_mul(curve, k, gen) in pts for k in range(order))
+
     def test_non_torsion_multiples_agree_with_loop(self):
         # the loop copy is run for k <= 12; past that its cost grows like
         # k^4, and kP is torsion exactly when P is, so the loop's verdict
@@ -416,9 +428,13 @@ class TestNagellLutzPretest:
         assert walked > 50 and torsion > 20
 
     def test_fast_path_uses_no_group_law(self, monkeypatch):
-        # non-torsion points must be settled by the pre-test alone
+        # torsion is decided by the doubling walk alone, both ways
         points = [(curve, ec_mul(curve, k, base))
                   for curve, base in HEIGHT_PAIRS for k in range(2, 17)]
+        torsion = [(curve, ec_mul(curve, k, gen))
+                   for _, (curve, gen) in kubert_table() for k in (1, 2, 3)]
+        torsion += [(c, p) for c in (EllipticCurveQ(0, 1), EllipticCurveQ(-43, 166))
+                    for p in torsion_points(c)]
 
         def forbidden(*args):
             raise AssertionError("is_torsion ran the group law")
@@ -426,6 +442,8 @@ class TestNagellLutzPretest:
         monkeypatch.setattr(el, "ec_add", forbidden)
         for curve, q in points:
             assert not is_torsion(curve, q)
+        for curve, q in torsion:
+            assert is_torsion(curve, q)
 
 
 class TestPrefixGcd:
