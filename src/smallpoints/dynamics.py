@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebraic import TorusElement
 from .elliptic import ECPoint, EllipticCurveQ
-from .semiabelian import SemiabelianPoint, height_parts
+from .semiabelian import SemiabelianPoint, height_parts, is_torsion_point
 
 __all__ = [
     "DynamicsError",
@@ -131,18 +131,22 @@ class HeightedSystem:
 Point = Union[TorusElement, ECPoint, SemiabelianPoint]
 
 
-def _base_components(system: HeightedSystem, z: Point):
-    """(h_quadratic, err_q, h_linear, err_l, exactly_zero) so that the
-    height after N steps is m^(2N) h_quadratic + m^N h_linear + shift."""
+def _parts(system: HeightedSystem, z: Point):
     kind = {"torus": TorusElement, "elliptic": ECPoint,
             "product": SemiabelianPoint}[system.domain]
     if not isinstance(z, kind):
         raise DynamicsError(f"{system.domain} system expects {kind.__name__} points")
     if system.domain == "torus":
-        return height_parts(None, None, (z,), system.tol)
+        return None, (z,)
     if system.domain == "elliptic":
-        return height_parts(system.curve, z, (), system.tol)
-    return height_parts(system.curve, z.ec, z.torus, system.tol)
+        return z, ()
+    return z.ec, z.torus
+
+
+def _base_components(system: HeightedSystem, z: Point):
+    """(h_quadratic, err_q, h_linear, err_l, exactly_zero) so that the
+    height after N steps is m^(2N) h_quadratic + m^N h_linear + shift."""
+    return height_parts(system.curve, *_parts(system, z), system.tol)
 
 
 def system_height(system: HeightedSystem, z: Point) -> float:
@@ -156,9 +160,8 @@ def is_preperiodic(system: HeightedSystem, z: Point) -> bool:
 
     On the torus this happens exactly for roots of unity, on a curve
     exactly for torsion points, and on a product exactly when both hold
-    (each direction follows from strict height growth)."""
-    _, _, _, _, zero = _base_components(system, z)
-    return zero
+    (each follows from strict height growth); no height is computed."""
+    return is_torsion_point(system.curve, *_parts(system, z))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ identities between the duplication forms:
     x(2P)   = F(p, q) / G(p, q)            for x(P) = p/q in lowest terms.
 
 Evaluating the limit naively needs integers of astronomically many digits,
-so after an exact big-integer prefix the orbit continues in interval
-arithmetic, while the gcd cancellation g_k = gcd(F, G) (which the naive
-height depends on) is tracked exactly through l-adic residues: g_k divides
-the Bezout resultant R1, so only primes dividing R1 can cancel, and their
-valuations are read off residues of p_k, q_k modulo l^K. The exact prefix
-uses the same fact: F = p^4 (mod q) with gcd(p, q) = 1 makes g_k coprime
-to q, and g_k divides R1 q^7, so g_k = gcd(R1, F mod R1, G mod R1), which
-costs a reduction instead of a full-width gcd.
+so after an exact big-integer prefix the orbit continues in integer balls
+scaled by powers of two, while the cancellation g_k = gcd(F, G) is tracked
+exactly through l-adic residues: g_k divides the Bezout resultant R1, so
+only primes l | R1 cancel, their valuations read off residues of p_k, q_k
+modulo l^K, and the height is an exact sum of multiples of log 2 and of
+the log l, plus one final log. The exact prefix uses the same fact: g_k is
+coprime to q (F = p^4 mod q, gcd(p, q) = 1) and divides R1 q^7, so it is
+gcd(R1, F mod R1, G mod R1), a reduction instead of a full-width gcd.
 
 Torsion is decided by Nagell-Lutz without the group law: on the integral
 model a torsion point has integer coordinates with y = 0 or
@@ -79,7 +79,13 @@ class OffCurveError(EllipticError):
 
 
 class CanonicalHeightBudgetError(EllipticError):
-    """Certified height evaluation exceeded its precision/size budget."""
+    """Certified height evaluation exceeded its precision/size budget; the
+    attributes A, B, p0_bits, q0_bits, tol, n_target, dps, prefix_bits
+    and the message reproduce the failing call."""
+
+    def __init__(self, reason: str, **context):
+        self.__dict__.update(context)
+        super().__init__(reason + "".join(f"; {k}={v}" for k, v in context.items()))
 
 
 @dataclass(frozen=True)
@@ -248,7 +254,8 @@ class DuplicationEnvelope:
       U1*F + V1*G = R1 * q^7   and   U2*F + V2*G = R2 * p^7
     with integer coefficient forms U*, V*; gcd(F, G) divides R1.
     R1_factors (prime, exponent) and the witness primes (near 2^61, not
-    dividing R1) serve the interval continuation's residue trackers.
+    dividing R1) serve the integer-ball continuation's residue trackers,
+    whose valuations of g_k set the height's log l coefficients.
     """
 
     C: float
@@ -326,28 +333,6 @@ def _dup_forms(A: int, B: int, p: int, q: int) -> Tuple[int, int]:
     return F, G
 
 
-def _iv_from_int(n: int):
-    """Certified interval for a (possibly huge) integer at current iv.prec."""
-    if n == 0:
-        return iv.mpf(0)
-    neg = n < 0
-    n = abs(n)
-    bits = n.bit_length()
-    keep = iv.prec - 8
-    if bits <= keep:
-        out = iv.mpf(n)
-    else:
-        e = bits - keep
-        m = n >> e
-        out = iv.mpf([m, m + 1]) * iv.mpf(2) ** e
-    return -out if neg else out
-
-
-def _iv_max_abs(a, b):
-    aa, bb = abs(a), abs(b)
-    return iv.mpf([max(aa.a, bb.a), max(aa.b, bb.b)])
-
-
 class _ResidueTracker:
     """Exact residues of the duplication orbit modulo ell^K.
 
@@ -414,7 +399,7 @@ class _WitnessTracker:
 
 
 class _SuspectedExactZero(Exception):
-    """The float continuation could not certify F != 0; extend the prefix."""
+    """The ball continuation could not certify F != 0; extend the prefix."""
 
 
 def _witness_primes(R1: int, count: int = 3) -> List[int]:
@@ -428,10 +413,14 @@ def _witness_primes(R1: int, count: int = 3) -> List[int]:
 
 
 def _interval_continue(A, B, p0, q0, start, n_target, env, dps):
-    """Continue the duplication orbit from exact (p0, q0) in intervals.
+    """Continue the duplication orbit from exact (p0, q0) in integer balls.
 
-    Returns the interval for 4^(-n_target) * h_{n_target}. Raises
-    _SuspectedExactZero if an exact F = 0 cannot be ruled out.
+    (p_k, q_k) = S_k (ph, qh), ph and qh balls (centre, radius) at scale 2^-w,
+    w the precision of dps. Renormalising F, G by 2^e keeps w bits in the
+    larger centre: S_{k+1} = S_k^4 2^e / g_k, so log S_n sums exact multiples
+    of log 2 and of log l, l | R1. Returns the interval for 4^-n h_n at
+    n = n_target, None on precision loss, or raises _SuspectedExactZero if
+    F = 0 may hold.
     """
     steps = n_target - start
     trackers = [_ResidueTracker(ell, c, steps, p0, q0) for ell, c in env.R1_factors]
@@ -440,40 +429,68 @@ def _interval_continue(A, B, p0, q0, start, n_target, env, dps):
     old_prec = iv.prec
     try:
         iv.dps = dps
-        M = max(abs(p0), abs(q0))
-        Mi = _iv_from_int(M)
-        H = iv.log(Mi)
-        ph = _iv_from_int(p0) / Mi
-        qh = _iv_from_int(q0) / Mi
+        w = iv.prec
+        s = max(abs(p0), abs(q0)).bit_length() - w
+        ph, qh = _ball_shift((p0, 0), s), _ball_shift((q0, 0), s)
+        # log S_k = sum of coef[l] * log l over 2 and the primes of R1
+        coef = {**dict.fromkeys((t.ell for t in trackers), 0), 2: s + w}
         for _ in range(steps):
-            Fi = ph**4 - 2 * A * ph**2 * qh**2 - 8 * B * ph * qh**3 + A * A * qh**4
-            Gi = 4 * qh * (ph**3 + A * ph * qh**2 + B * qh**3)
-            wf = [w.forms(A, B) for w in witnesses]
-            if 0 in Fi and all(f == 0 for f, _ in wf):
+            F, G = _ball_forms(A, B, ph, qh, w)
+            wf = [t.forms(A, B) for t in witnesses]
+            if abs(F[0]) <= F[1] and all(f == 0 for f, _ in wf):
                 raise _SuspectedExactZero()
-            g = 1
-            vals = []
+            g, vals = 1, []
             for t in trackers:
                 vF, vG = t.valuations(A, B)
                 if vF is None and vG is None:
                     # impossible for F != 0 since min(vF, vG) <= c_ell
                     raise _SuspectedExactZero()
-                e = vG if vF is None else (vF if vG is None else min(vF, vG))
-                e = min(e, t.c)
+                e = min(v for v in (vF, vG, t.c) if v is not None)
                 vals.append(e)
                 g *= t.ell**e
+            for ell in coef:
+                coef[ell] *= 4
             for t, e in zip(trackers, vals):
                 t.advance(g, e)
-            for w in witnesses:
-                w.advance(g)
-            mi = _iv_max_abs(Fi, Gi)
-            if not mi.a > 0:
+                coef[t.ell] -= e
+            for t in witnesses:
+                t.advance(g)
+            if max(abs(F[0]) - F[1], abs(G[0]) - G[1]) <= 0:
                 return None  # precision loss; retry at higher dps
-            H = 4 * H + iv.log(mi) - iv.log(iv.mpf(g))
-            ph, qh = Fi / mi, Gi / mi
+            e = max(abs(F[0]), abs(G[0])).bit_length() - w
+            ph, qh = _ball_shift(F, e), _ball_shift(G, e)
+            coef[2] += e
+        lo = max(abs(ph[0]) - ph[1], abs(qh[0]) - qh[1])
+        if lo <= 0:
+            return None
+        coef[2] -= w
+        H = iv.log(iv.mpf([lo, max(abs(ph[0]) + ph[1], abs(qh[0]) + qh[1])]))
+        H += sum(c * iv.log(ell) for ell, c in coef.items() if c)
         return H / iv.mpf(4) ** n_target
     finally:
         iv.prec = old_prec
+
+
+def _ball_shift(ball, e):
+    """The integer ball (c, r) divided by 2^e; 2 ulp cover the floors."""
+    c, r = ball
+    return (c << -e, r << -e) if e <= 0 else (c >> e, (r >> e) + 2)
+
+
+def _ball_forms(A, B, ph, qh, w):
+    """Balls for F(ph, qh) and G(ph, qh), all at scale 2^-w."""
+
+    def mul(x, y):
+        (a, ra), (b, rb) = x, y
+        return (a * b) >> w, ((abs(a) * rb + abs(b) * ra + ra * rb) >> w) + 2
+
+    p2, q2, pq = mul(ph, ph), mul(qh, qh), mul(ph, qh)
+    p4, p2q2, p3q, pq3, q4 = mul(p2, p2), mul(p2, q2), mul(p2, pq), mul(pq, q2), mul(q2, q2)
+    F = (p4[0] - 2 * A * p2q2[0] - 8 * B * pq3[0] + A * A * q4[0],
+         p4[1] + 2 * abs(A) * p2q2[1] + 8 * abs(B) * pq3[1] + A * A * q4[1])
+    G = (4 * (p3q[0] + A * pq3[0] + B * q4[0]),
+         4 * (p3q[1] + abs(A) * pq3[1] + abs(B) * q4[1]))
+    return F, G
 
 
 def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=False):
@@ -487,7 +504,7 @@ def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=
     prefix_bits = _PREFIX_BITS
     while True:
         p, q = p0, q0
-        estimates = [float(_log_max_int(abs(p), q))] if want_estimates else None
+        estimates = [math.log(max(abs(p), q))] if want_estimates else None
         k = 0
         while k < n_target and max(abs(p).bit_length(), q.bit_length()) <= prefix_bits:
             F, G = _dup_forms(A, B, p, q)
@@ -500,55 +517,26 @@ def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=
                 p, q = -p, -q
             k += 1
             if want_estimates:
-                estimates.append(float(_log_max_int(abs(p), q) / 4**k))
-        if k == n_target:
-            with mp.workdps(40):
-                val = float(_log_max_int(abs(p), q) / 4**n_target)
-            return val, env.C / (3 * 4**n_target), estimates, env
+                estimates.append(math.log(max(abs(p), q)) / 4**k)
         try:
             for dps in (60, 120, 240, 480):
                 box = _interval_continue(A, B, p, q, k, n_target, env, dps)
-                if box is not None:
-                    width = float(mp.mpf(box.delta))
-                    if width <= tol / 4:
-                        if want_estimates:
-                            estimates = _estimates_via_intervals(
-                                A, B, p, q, k, n_target, env, dps, estimates
-                            )
-                        val = float(mp.mpf(box.mid))
-                        return val, env.C / (3 * 4**n_target) + width, estimates, env
-            raise CanonicalHeightBudgetError(
-                "interval continuation would not certify the requested tolerance"
-            )
+                if box is None or (width := float(mp.mpf(box.delta))) > tol / 4:
+                    continue
+                if want_estimates:  # the same balls, stopped at each n
+                    boxes = [_interval_continue(A, B, p, q, k, n, env, dps)
+                             for n in range(k + 1, n_target + 1)]
+                    estimates += [float(mp.mpf(b.mid)) for b in boxes]
+                return float(mp.mpf(box.mid)), env.C / (3 * 4**n_target) + width, estimates, env
+            reason = "interval continuation would not certify the requested tolerance"
         except _SuspectedExactZero:
-            prefix_bits *= 4
-            if prefix_bits > _PREFIX_BITS_MAX:
-                raise CanonicalHeightBudgetError(
-                    "orbit passes too close to x = 0 for the exact prefix budget"
-                ) from None
-
-
-def _estimates_via_intervals(A, B, p, q, start, n_target, env, dps, prefix_estimates):
-    ests = list(prefix_estimates)
-    for n in range(start + 1, n_target + 1):
-        box = _interval_continue(A, B, p, q, start, n, env, dps)
-        if box is None:
-            break
-        ests.append(float(mp.mpf(box.mid)))
-    return ests
-
-
-def _log_max_int(a: int, b: int):
-    """log max(a, b) for nonnegative ints of arbitrary size."""
-    m = max(a, b)
-    if m <= 1:
-        return mpf(0)
-    with mp.workdps(40):
-        bits = m.bit_length()
-        if bits <= 900:
-            return mp.log(mpf(m))
-        top = m >> (bits - 600)
-        return mp.log(mpf(top)) + (bits - 600) * mp.log(mpf(2))
+            if prefix_bits * 4 <= _PREFIX_BITS_MAX:
+                prefix_bits *= 4
+                continue
+            reason = "orbit passes too close to x = 0 for the exact prefix budget"
+        raise CanonicalHeightBudgetError(
+            reason, A=A, B=B, p0_bits=abs(p0).bit_length(), q0_bits=q0.bit_length(),
+            tol=tol, n_target=n_target, dps=dps, prefix_bits=prefix_bits)
 
 
 def canonical_height(curve: EllipticCurveQ, point: ECPoint, tol: float = 1e-8) -> float:
@@ -625,21 +613,21 @@ def _square_divisors(n: int) -> List[int]:
 
 
 def _integer_cubic_roots(A: int, c: int) -> List[int]:
-    """Integer roots of x^3 + A x + c."""
-    if c == 0:
-        roots = [0]
-        # x^2 = -A
-        if A < 0:
-            s = sympy.integer_nthroot(-A, 2)
-            if s[1]:
-                roots.extend([s[0], -s[0]])
-        return roots
-    roots = []
-    for d in sympy.divisors(abs(c)):
-        for x in (d, -d):
-            if x**3 + A * x + c == 0:
-                roots.append(x)
-    return roots
+    """Integer roots of f = x^3 + A x + c by integer bisection on its monotone
+    pieces (f' < 0 only for |x| < sqrt(-A/3)); every root has
+    |x| <= 1 + max(|A|, |c|)."""
+    big, m = 1 + max(abs(A), abs(c)), math.isqrt(max(-A, 0) // 3)
+    roots = set()
+    for lo, hi, sign in ((-big, -m - 1, 1), (-m, m, -1), (m + 1, big, 1)):
+        while lo < hi:  # the first x in [lo, hi] with sign * f(x) >= 0
+            mid = (lo + hi) // 2
+            if sign * (mid**3 + A * mid + c) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo**3 + A * lo + c == 0:
+            roots.add(lo)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

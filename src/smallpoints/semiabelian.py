@@ -216,7 +216,7 @@ def height_parts(curve: Optional[EllipticCurveQ], ec: Optional[ECPoint],
     ulp = 2.0**-50
     hq = eq = hl = el = 0.0
     zero = True
-    if ec is not None and not (ec.is_identity or is_torsion(curve, ec)):
+    if not is_torsion_point(curve, ec, ()):
         hq = nontorsion_height(curve, ec, each)
         eq = each + hq * ulp
         zero = False
@@ -227,6 +227,14 @@ def height_parts(curve: Optional[EllipticCurveQ], ec: Optional[ECPoint],
             el += each + v * ulp
             zero = False
     return hq, eq, hl, el, zero
+
+
+def is_torsion_point(curve: Optional[EllipticCurveQ], ec: Optional[ECPoint],
+                     torus: Sequence[TorusElement]) -> bool:
+    """Exact: is (ec, torus) torsion x roots of unity, where the product
+    height vanishes? ec None on the torus alone. No height is computed."""
+    return ((ec is None or ec.is_identity or is_torsion(curve, ec))
+            and all(t.is_unit_circle() for t in torus))
 
 
 def product_height(A: AmbientVariety, z: SemiabelianPoint, tol: float = 1e-9) -> float:
@@ -630,7 +638,7 @@ def explore_theorem(
             diff = _point_sub(A, hit_points[i], hit_points[j])
             if diff is None:
                 continue
-            if height_parts(A.curve, diff.ec, diff.torus, config.tol)[4]:
+            if is_torsion_point(A.curve, diff.ec, diff.torus):
                 parent[find(i)] = find(j)
     groups: Dict[int, List[int]] = {}
     for i in range(len(hits)):

@@ -176,6 +176,10 @@ class TestCanonicalHeight:
             assert abs(ests[n + 1] - ests[n]) <= env.C / 4 ** (n + 1) + 1e-9
         assert abs(ests[0] - naive_height(GEN)) < 1e-9
         assert abs(ests[-1] - HHAT_GEN) < 1e-6
+        # n = 0..n_target, also when the exact prefix reaches n_target
+        for tol in (1e-8, 1e-2):
+            n_target = TestBallContinuation.continuation_start(E_MINUS2, GEN, tol)[5]
+            assert len(canonical_height_estimates(E_MINUS2, GEN, tol)) == n_target + 1
 
     def test_model_rescaling_invariance(self):
         # same curve written with rational coefficients: a -> a/u^4, b -> b/u^6
@@ -379,12 +383,11 @@ class TestNagellLutzPretest:
         assert checked > 400
 
     def test_torsion_points_finds_kubert_groups(self):
-        # candidates with y^2 | 4A^3 + 27B^2 find every torsion point; the
-        # Z/12 curve is left out for time (its integral model has A ~ -4e10)
-        sizes = {4: [4, 8], 5: [5], 6: [6, 12], 7: [7], 8: [8], 9: [9], 10: [10]}
+        # candidates with y^2 | 4A^3 + 27B^2 find every torsion point, also
+        # on the Z/12 curve, whose integral model has A ~ -4e10
+        sizes = {4: [4, 8], 5: [5], 6: [6, 12], 7: [7], 8: [8], 9: [9], 10: [10],
+                 12: [12]}
         for order, (curve, gen) in kubert_table():
-            if order == 12:
-                continue
             pts = torsion_points(curve)
             assert len(pts) == sizes[order].pop(0)
             assert all(ec_mul(curve, k, gen) in pts for k in range(order))
@@ -486,3 +489,220 @@ class TestPrefixGcd:
         assert len(env.witnesses) == 3
         for w in env.witnesses:
             assert w > 1 << 61 and env.R1 % w != 0
+
+
+def test_integer_cubic_roots_match_divisor_enumeration():
+    # a nonzero integer root of x^3 + A x + c divides c, and fixes
+    # A = -(x^3 + c) / x; c = 0 leaves x = 0 and x^2 = -A
+    want = {}
+    for c in range(1, 2001):
+        for d in (d for d in range(1, c + 1) if c % d == 0):
+            for x, cc in ((s * d, t * c) for s in (1, -1) for t in (1, -1)):
+                A = -(x**3 + cc) // x
+                if abs(A) <= 50:
+                    want.setdefault((A, cc), set()).add(x)
+    for A in range(-50, 51):
+        s = math.isqrt(-A) if A < 0 else 0
+        want[(A, 0)] = {0, s, -s} if s * s == -A else {0}
+        for c in range(-2000, 2001):
+            assert el._integer_cubic_roots(A, c) == sorted(want.get((A, c), ()))
+
+
+def reference_continue(A, B, p0, q0, start, n_target, env, dps):
+    """The mpmath-iv continuation the integer balls replaced, as it stood:
+    the reference they are checked against."""
+    from mpmath import iv
+
+    def iv_from_int(n):
+        if n == 0:
+            return iv.mpf(0)
+        bits, keep = abs(n).bit_length(), iv.prec - 8
+        if bits <= keep:
+            out = iv.mpf(abs(n))
+        else:
+            m = abs(n) >> (bits - keep)
+            out = iv.mpf([m, m + 1]) * iv.mpf(2) ** (bits - keep)
+        return -out if n < 0 else out
+
+    steps = n_target - start
+    trackers = [el._ResidueTracker(ell, c, steps, p0, q0) for ell, c in env.R1_factors]
+    witnesses = [el._WitnessTracker(w, p0, q0) for w in env.witnesses]
+    old_prec = iv.prec
+    try:
+        iv.dps = dps
+        Mi = iv_from_int(max(abs(p0), abs(q0)))
+        H = iv.log(Mi)
+        ph, qh = iv_from_int(p0) / Mi, iv_from_int(q0) / Mi
+        for _ in range(steps):
+            Fi = ph**4 - 2 * A * ph**2 * qh**2 - 8 * B * ph * qh**3 + A * A * qh**4
+            Gi = 4 * qh * (ph**3 + A * ph * qh**2 + B * qh**3)
+            wf = [w.forms(A, B) for w in witnesses]
+            if 0 in Fi and all(f == 0 for f, _ in wf):
+                raise el._SuspectedExactZero()
+            g, vals = 1, []
+            for t in trackers:
+                vF, vG = t.valuations(A, B)
+                if vF is None and vG is None:
+                    raise el._SuspectedExactZero()
+                e = min(vG if vF is None else (vF if vG is None else min(vF, vG)), t.c)
+                vals.append(e)
+                g *= t.ell**e
+            for t, e in zip(trackers, vals):
+                t.advance(g, e)
+            for w in witnesses:
+                w.advance(g)
+            fa, ga = abs(Fi), abs(Gi)
+            mi = iv.mpf([max(fa.a, ga.a), max(fa.b, ga.b)])
+            if not mi.a > 0:
+                return None
+            H = 4 * H + iv.log(mi) - iv.log(iv.mpf(g))
+            ph, qh = Fi / mi, Gi / mi
+        return H / iv.mpf(4) ** n_target
+    finally:
+        iv.prec = old_prec
+
+
+class TestBallContinuation:
+    TOLS = (1e-9, 1e-10, 1e-12, 1e-14)
+    CASES = [(curve, ec_mul(curve, k, base))
+             for curve, base in HEIGHT_PAIRS for k in range(1, 17)] + [
+        # 2P = (0, 1): the orbit passes through x = 0
+        (EllipticCurveQ(8, 1), ECPoint.of(2, 5)),
+        rescale(EllipticCurveQ(-7, 10), ECPoint.of(1, 2), 6),
+    ]
+
+    @staticmethod
+    def continuation_start(curve, point, tol):
+        """(A, B, p, q, k, n_target, env): _hybrid_height's state where the
+        exact prefix hands over to the continuation."""
+        A, B, p, q = el._integral_x(curve, point)
+        env = el._envelope_cached(A, B)
+        n_target = max(1, math.ceil(math.log(env.C / (3 * tol / 32)) / math.log(4)))
+        k = 0
+        while k < n_target and max(abs(p).bit_length(), q.bit_length()) <= el._PREFIX_BITS:
+            F, G = el._dup_forms(A, B, p, q)
+            g = math.gcd(F, G)
+            p, q = F // g, G // g
+            if q < 0:
+                p, q = -p, -q
+            k += 1
+        return A, B, p, q, k, n_target, env
+
+    def test_boxes_agree_with_interval_reference(self):
+        compared = 0
+        for i, (curve, point) in enumerate(self.CASES):
+            tol = self.TOLS[i % 4]
+            A, B, p, q, k, n, env = self.continuation_start(curve, point, tol)
+            x = el._integral_x(curve, point)[2:]
+            # from the hand-over point, and from the point itself, where
+            # the small early steps carry the gcd cancellations
+            for start in ([(p, q, k)] if k < n else []) + [(*x, 0)]:
+                try:
+                    want = reference_continue(A, B, *start, n, env, 60)
+                except el._SuspectedExactZero:
+                    with pytest.raises(el._SuspectedExactZero):
+                        el._interval_continue(A, B, *start, n, env, 60)
+                    continue
+                got = el._interval_continue(A, B, *start, n, env, 60)
+                assert got.a <= want.b and want.a <= got.b
+                assert float(got.delta) <= tol / 4 and float(want.delta) <= tol / 4
+                compared += 1
+        assert compared > 100
+
+    def test_heights_agree_with_interval_reference(self, monkeypatch):
+        # every tolerance on a sample of the cases, through the full
+        # prefix, dps ladder and _SuspectedExactZero retry
+        for curve, point in self.CASES[3::7]:
+            args = el._integral_x(curve, point)
+            for tol in self.TOLS:
+                got, got_err = el._hybrid_height(*args, tol)[:2]
+                with monkeypatch.context() as m:
+                    m.setattr(el, "_interval_continue", reference_continue)
+                    want, want_err = el._hybrid_height(*args, tol)[:2]
+                assert abs(got - want) <= min(got_err, want_err)
+
+    def test_balls_hold_every_point(self):
+        # F, G and the 2^e shift at exact points of the input balls, for
+        # radii from 0 to the size of the centres
+        rng = random.Random(5)
+        w = 40
+        for A, B in ((0, -2), (-7, 10), (8, 1)):
+            for _ in range(150):
+                balls = [(rng.randint(-2**w, 2**w), rng.choice((0, 3, rng.randint(0, 2**w))))
+                         for _ in range(2)]
+                F, G = el._ball_forms(A, B, *balls, w)
+                e = rng.randint(-5, 45)
+                for t in (-1, 1, Fraction(rng.randint(-99, 99), 100)):
+                    x, y = (Fraction(c + t * r, 2**w) for c, r in balls)
+                    for (c, r), v in ((F, x**4 - 2 * A * x**2 * y**2 - 8 * B * x * y**3
+                                       + A * A * y**4),
+                                      (G, 4 * y * (x**3 + A * x * y**2 + B * y**3))):
+                        assert abs(v * 2**w - c) <= r
+                        c2, r2 = el._ball_shift((c, r), e)
+                        assert abs(v * 2**w / Fraction(2)**e - c2) <= r2
+
+    def test_low_precision_boxes_hold_exact_heights(self):
+        # at a few dozen bits the radii grow to the size of the centres;
+        # every box returned must still hold the exact 4^-n h_n
+        from mpmath import iv
+
+        held = 0
+        for curve, point in HEIGHT_PAIRS:
+            A, B, p, q = el._integral_x(curve, point)
+            env = el._envelope_cached(A, B)
+            pn, qn = p, q
+            for n in range(1, 7):
+                F, G = el._dup_forms(A, B, pn, qn)
+                g = math.gcd(F, G) * (1 if G > 0 else -1)
+                pn, qn = F // g, G // g
+                old_prec, iv.dps = iv.prec, 40
+                exact = iv.log(iv.mpf(max(abs(pn), qn))) / 4**n
+                iv.prec = old_prec
+                for dps in (2, 3, 4, 6, 9):
+                    box = el._interval_continue(A, B, p, q, 0, n, env, dps)
+                    if box is not None:
+                        assert box.a <= exact.b and exact.a <= box.b
+                        held += 1
+        assert held > 100
+
+    def test_one_log_per_prime(self, monkeypatch):
+        from mpmath import iv
+
+        calls = []
+        real = iv.log
+        monkeypatch.setattr(el.iv, "log", lambda x: calls.append(x) or real(x))
+        for curve, point in HEIGHT_PAIRS:
+            A, B, p, q = el._integral_x(curve, point)
+            env = el._envelope_cached(A, B)
+            for n in (3, 12, 30):
+                calls.clear()
+                assert el._interval_continue(A, B, p, q, 0, n, env, 120) is not None
+                assert len(calls) <= 2 + len(env.R1_factors)
+
+
+class TestBudgetErrorContext:
+    # 2P = (0, 1) on y^2 = x^3 + 8x + 1: the continuation meets F = 0
+    CURVE, POINT = EllipticCurveQ(8, 1), ECPoint.of(2, 5)
+
+    def test_prefix_budget(self, monkeypatch):
+        monkeypatch.setattr(el, "_PREFIX_BITS", 1)
+        monkeypatch.setattr(el, "_PREFIX_BITS_MAX", 1)
+        with pytest.raises(CanonicalHeightBudgetError, match="exact prefix") as info:
+            canonical_height(self.CURVE, self.POINT, 1e-8)
+        err = info.value
+        assert (err.A, err.B, err.p0_bits, err.q0_bits) == (8, 1, 2, 1)
+        assert (err.tol, err.dps, err.prefix_bits) == (1e-8, 60, 1)
+        assert err.n_target == TestBallContinuation.continuation_start(
+            self.CURVE, self.POINT, 1e-8)[5]
+        assert "prefix_bits=1" in str(err)
+
+    def test_precision_budget(self, monkeypatch):
+        monkeypatch.setattr(el, "_interval_continue", lambda *args: None)
+        point = ec_mul(E_MINUS2, 3, GEN)
+        with pytest.raises(CanonicalHeightBudgetError, match="tolerance") as info:
+            canonical_height(E_MINUS2, point, 1e-9)
+        err = info.value
+        A, B, p, q = el._integral_x(E_MINUS2, point)
+        assert (err.A, err.B, err.p0_bits, err.q0_bits) == (0, -2, p.bit_length(), q.bit_length())
+        assert (err.tol, err.dps, err.prefix_bits) == (1e-9, 480, el._PREFIX_BITS)
+        assert err.n_target == TestBallContinuation.continuation_start(E_MINUS2, point, 1e-9)[5]

@@ -237,6 +237,30 @@ class TestHeightKernel:
         n_function(system, z, self.STAR)
         assert len(calls) == 1
 
+    def test_preperiodic_decided_without_heights(self, monkeypatch):
+        # the exact predicate gives the height route's verdict on every
+        # domain and never computes a height
+        points = self.points()
+        want = [(sa.height_parts(self.CURVE, z.ec, z.torus, self.TOL)[4],
+                 sa.height_parts(self.CURVE, z.ec, (), self.TOL)[4],
+                 [sa.height_parts(None, None, (t,), self.TOL)[4] for t in z.torus])
+                for z in points]
+
+        def forbidden(*args):
+            raise AssertionError("a height was computed")
+
+        monkeypatch.setattr(sa, "nontorsion_height", forbidden)
+        monkeypatch.setattr(sa, "torus_height", forbidden)
+        product = HeightedSystem("product", 2, curve=self.CURVE, tol=self.TOL)
+        curve = HeightedSystem("elliptic", 2, curve=self.CURVE, tol=self.TOL)
+        torus = HeightedSystem("torus", 2, tol=self.TOL)
+        for z, (zero, ec_zero, t_zeros) in zip(points, want):
+            assert sa.is_torsion_point(self.CURVE, z.ec, z.torus) == zero
+            assert is_preperiodic(product, z) == zero
+            assert is_preperiodic(curve, z.ec) == ec_zero
+            assert [is_preperiodic(torus, t) for t in z.torus] == t_zeros
+        assert sum(zero for zero, _, _ in want) >= 6
+
     def test_ball_error_covers_ulp(self):
         # eps = h + tol sits inside the band once the |h| ulp term counts
         # (a bound of tol alone, as product heights had, says In)
