@@ -22,6 +22,12 @@ vanishing reduces to divisibility by the slot's minimal polynomial) and
 numerically with a reported residual otherwise. The identity of E carries
 no affine coordinates, so a relation mentioning x or y is reported as
 ExactNo at the identity: the locus is read as affine in those variables.
+
+The explorer decides membership of x = gamma + z before it builds x: for
+a torus value r alpha^e the verdict depends on alpha only through its
+minimal polynomial, so it is decided once per (gamma, torsion point,
+minimal-polynomial class), and only the hits are built and confirmed by
+`curve_membership`.
 """
 
 from __future__ import annotations
@@ -566,6 +572,49 @@ def _catalog_torus_values(config: ExploreConfig) -> List[TorusElement]:
     return out
 
 
+def _membership_classes(smalls: Sequence[SemiabelianPoint]):
+    """(fallback, classes): the indices of the small points with two or more
+    algebraic torus slots, and {T: {key: [slot, values, t, indices]}}, which
+    groups the rest by torsion part T, rational torus values `values`, and
+    the minimal polynomial and exponent of t, their algebraic value at
+    `slot` (None if there is none)."""
+    fallback: List[int] = []
+    classes: Dict[ECPoint, Dict[tuple, list]] = {}
+    for i, z in enumerate(smalls):
+        values = [t.rational_value() for t in z.torus]
+        algebraic = [j for j, v in enumerate(values) if v is None]
+        if len(algebraic) > 1:
+            fallback.append(i)
+            continue
+        slot = algebraic[0] if algebraic else None
+        t = z.torus[slot] if algebraic else None
+        key = (slot, tuple(values), (t.base.minpoly, t.exponent) if t else None)
+        classes.setdefault(z.ec, {}).setdefault(key, [slot, values, t, []])[3].append(i)
+    return fallback, classes
+
+
+def _class_on_locus(X: CurveRelation, xy, rs, slot, values, t,
+                    slot_polys: Dict[tuple, list]) -> bool:
+    """Exact: is gamma + z on X, for xy the coordinates of gamma.ec + z.ec,
+    rs gamma's rational torus values and z in the class (slot, values, t)?
+
+    The sum's slot value is r alpha^e for t = alpha^e, and P(r alpha^e) = 0
+    iff minpoly(alpha) divides P(r s) at s = alpha^e: one test for the whole
+    Galois orbit, with no point built. slot_polys caches the slot
+    polynomials at this xy."""
+    if slot is None:
+        w = [r * v for r, v in zip(rs, values)]
+        return all(_exact_eval(eq, xy, w) == 0 for eq in X.equations)
+    rest = tuple((j, r * v) for j, (r, v) in enumerate(zip(rs, values)) if j != slot)
+    polys = slot_polys.get((slot, rest))
+    if polys is None:
+        polys = [_slot_polynomial(eq, xy, rest, slot) for eq in X.equations]
+        slot_polys[(slot, rest)] = polys
+    r = rs[slot]
+    return all(_divisibility_zero({k: c * r**k for k, c in p.items()}, t)
+               for p in polys)
+
+
 def explore_theorem(
     A: AmbientVariety,
     G: SubgroupGamma,
@@ -577,10 +626,14 @@ def explore_theorem(
 
     Candidates are x = gamma + z with gamma from the generator box and z
     from the small-point catalog (torsion x catalog torus values), pruned
-    by in_B_eps before the gamma loop. Each hit carries its (gamma, z)
-    decomposition, the membership verdict, and a Gamma_eps certificate
-    recomputed by subtraction. Hits are grouped into coset candidates when
-    their exact difference is torsion x roots of unity."""
+    by in_B_eps before the gamma loop. Membership is decided exactly once
+    per (gamma, torsion point, minimal-polynomial class of z), and only
+    the hits are built and given curve_membership's verdict; z with two
+    or more algebraic torus slots are built and tested one by one. Each
+    hit carries its (gamma, z) decomposition, the membership verdict, and
+    a Gamma_eps certificate recomputed by subtraction. Hits are grouped
+    into coset candidates when their exact difference is torsion x roots
+    of unity."""
     if eps < 0:
         raise SemiabelianError("eps must be >= 0")
     if X.torus_rank != A.torus_rank or G.torus_rank != A.torus_rank:
@@ -603,10 +656,23 @@ def explore_theorem(
             elif verdict is BallVerdict.BOUNDARY:
                 boundary_skipped += 1
 
+    fallback, classes = _membership_classes(smalls)
     hits = []
     hit_points: List[SemiabelianPoint] = []
     for coeffs, gamma in gamma_enumerate(G, config.gen_bound, A):
-        for z in smalls:
+        rs = [t.rational_value() for t in gamma.torus]
+        todo = list(fallback)
+        for T, members in classes.items():
+            ec = ec_add(A.curve, gamma.ec, T)
+            if ec.is_identity and X.uses_ec_coordinates():
+                continue  # ExactNo: the identity has no affine coordinates
+            xy = (ec.x, ec.y) if not ec.is_identity else (Fraction(0), Fraction(0))
+            slot_polys: Dict[tuple, list] = {}
+            for slot, values, t, indices in members.values():
+                if _class_on_locus(X, xy, rs, slot, values, t, slot_polys):
+                    todo.extend(indices)
+        for i in sorted(todo):
+            z = smalls[i]
             x = _point_add(A, gamma, z)
             if x is None:
                 continue

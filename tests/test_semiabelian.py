@@ -1,6 +1,7 @@
 """Tests for product heights, B_eps membership, Gamma enumeration, relation
 loci, and the bounded theorem explorer on E x G_m^n."""
 
+import itertools
 import json
 import math
 import random
@@ -531,3 +532,189 @@ class TestExplorer:
             explore_theorem(AMBIENT, gamma, relation, -1.0, config)
         with pytest.raises(SemiabelianError):
             explore_theorem(AmbientVariety(E_MINUS2, 2), gamma, relation, 0.0, config)
+
+
+def reference_explore(A, G, X, eps, config):
+    """explore_theorem as it stood before membership was decided per Galois
+    orbit: every candidate gamma + z is built and tested by curve_membership."""
+    torsion = el.torsion_points(A.curve)
+    torus_values = sa._catalog_torus_values(config)
+    n, g = A.torus_rank, len(G.generators)
+    estimate = len(torsion) * len(torus_values) ** n * (2 * config.gen_bound + 1) ** g
+    smalls = []
+    boundary_skipped = 0
+    for T in torsion:
+        for combo in itertools.product(torus_values, repeat=n):
+            z = SemiabelianPoint(T, combo)
+            verdict = in_B_eps(A, z, eps, config.tol)
+            if verdict is BallVerdict.IN:
+                smalls.append(z)
+            elif verdict is BallVerdict.BOUNDARY:
+                boundary_skipped += 1
+    hits, hit_points = [], []
+    for coeffs, gamma in gamma_enumerate(G, config.gen_bound, A):
+        for z in smalls:
+            x = sa._point_add(A, gamma, z)
+            if x is None:
+                continue
+            verdict = curve_membership(X, x, eps=min(config.tol, 1e-12))
+            if verdict.is_yes:
+                cert = gamma_eps_certificate(A, x, gamma, eps, config.tol)
+                hits.append({"gamma_coefficients": list(coeffs), "small_point": str(z),
+                             "point": str(x), "membership": str(verdict),
+                             "exact": verdict.is_exact, "certificate": cert.value})
+                hit_points.append(x)
+    parent = list(range(len(hits)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(hits)):
+        for j in range(i + 1, len(hits)):
+            diff = sa._point_sub(A, hit_points[i], hit_points[j])
+            if diff is not None and sa.is_torsion_point(A.curve, diff.ec, diff.torus):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(hits)):
+        groups.setdefault(find(i), []).append(i)
+    return {"disclaimer": sa.DISCLAIMER, "integrality_note": sa.INTEGRALITY_NOTE,
+            "eps": eps, "search_size": estimate, "catalog_size": len(torus_values),
+            "candidates_in_ball": len(smalls), "boundary_skipped": boundary_skipped,
+            "hit_count": len(hits), "hits": hits,
+            "cosets": sorted(sorted(v) for v in groups.values())}
+
+
+def relation(rank, terms):
+    """CurveRelation from {(a, b, k_1..k_n): coeff} dicts, one per equation."""
+    return CurveRelation.of([{k: Fraction(v) for k, v in eq.items()} for eq in terms], rank)
+
+
+def random_relation(rng, rank, use_xy):
+    eq = {}
+    for _ in range(rng.randint(1, 4)):
+        a, b = (rng.randint(0, 1), rng.randint(0, 1)) if use_xy else (0, 0)
+        exps = (a, b) + tuple(rng.randint(-2, 3) for _ in range(rank))
+        eq[exps] = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4))
+    return CurveRelation.of([eq], rank)
+
+
+class TestMembershipByOrbit:
+    RANK2 = AmbientVariety(E_MINUS2, 2)
+    TORSION = AmbientVariety(E_PLUS1, 1)
+
+    @classmethod
+    def cases(cls):
+        g2 = SubgroupGamma.of([pt(GEN_EC, t_rat(2))])
+        unit = SubgroupGamma.of([pt(GEN_EC, t_rat(1)), pt(ECPoint.identity(), t_rat(3))])
+        small = ExploreConfig(gen_bound=2, rou_order=12, radicals=((Fraction(2), 4),))
+        out = [
+            # x and y terms: y = 5t/2 and x t^2 = 12 hit at gamma = (3, 5)
+            (AMBIENT, g2, relation(1, [{(0, 1, 0): 1, (0, 0, 1): Fraction(-5, 2)}]),
+             0.3, small),
+            (AMBIENT, g2, relation(1, [{(1, 0, 2): 1, (0, 0, 0): -12}]), 0.3, small),
+            (AMBIENT, g2, relation(1, [{(1, 0, 0): 1, (0, 0, 0): -3},
+                                       {(0, 1, -1): 1, (0, 0, 0): Fraction(-5, 2)}]),
+             0.3, small),
+            # exponent -1: t^-2 = 1/4, and t + 1/t = 0 at t = +-i
+            (AMBIENT, g2, relation(1, [{(0, 0, -2): 1, (0, 0, 0): Fraction(-1, 4)}]),
+             0.3, small),
+            (AMBIENT, g2, relation(1, [{(0, 0, 1): 1, (0, 0, -1): 1}]), 0.3, small),
+            # two algebraic slots go the numeric way; one algebraic slot next
+            # to a rational one shares a slot polynomial per rational value
+            # (t1^2 = t2 holds at (i, -1) and (2^(1/2), 2), not at (i, 2))
+            (cls.RANK2, SubgroupGamma.of([pt(ECPoint.identity(), t_rat(2), t_rat(2))]),
+             relation(2, [{(0, 0, 1, 0): 1, (0, 0, 0, 1): -1}]), 0.3,
+             ExploreConfig(gen_bound=1, rou_order=4, radicals=((Fraction(2), 3),))),
+            (cls.RANK2, SubgroupGamma.of([pt(ECPoint.identity(), t_rat(2), t_rat(4))]),
+             relation(2, [{(0, 0, 2, 0): 1, (0, 0, 0, 1): -1}]), 0.4,
+             ExploreConfig(gen_bound=1, rou_order=4, radicals=((Fraction(2), 2),))),
+            (cls.RANK2, SubgroupGamma.of([pt(GEN_EC, t_rat(2), t_rat(3))]),
+             relation(2, [{(0, 0, 2, 0): 1, (0, 0, 0, -1): -1},
+                          {(1, 0, 0, 0): 1, (0, 0, 1, 1): -3}]), 0.3,
+             ExploreConfig(gen_bound=1, rou_order=4, radicals=((Fraction(2), 3),))),
+            # Z/6 torsion: x = 0 at (0, +-1) for every z, x t = 2 at (2, +-3)
+            (cls.TORSION, SubgroupGamma.of([pt(ECPoint.identity(), t_rat(2))]),
+             relation(1, [{(1, 0, 0): 1}]), 0.2,
+             ExploreConfig(gen_bound=1, rou_order=6, radicals=((Fraction(2), 3),))),
+            (cls.TORSION, SubgroupGamma.of([pt(ECPoint.identity(), t_rat(2))]),
+             relation(1, [{(1, 0, 1): 1, (0, 0, 0): -2}]), 0.2,
+             ExploreConfig(gen_bound=2, rou_order=6, radicals=((Fraction(2), 3),))),
+            # radical families: 2^(1/3) in the ball; 7^(1/3) and, at eps 0.3,
+            # 2^(1/2) out of it (t^2 = 8 needs z = 2^(1/2) at gamma = 1)
+            (AMBIENT, g2, relation(1, [{(0, 0, 3): 1, (0, 0, 0): -2}]), 0.3,
+             ExploreConfig(gen_bound=2, rou_order=6,
+                           radicals=((Fraction(2), 8), (Fraction(7), 3)))),
+            (AMBIENT, g2, relation(1, [{(0, 0, 2): 1, (0, 0, 0): -8}]), 0.3,
+             ExploreConfig(gen_bound=2, rou_order=6, radicals=((Fraction(2), 8),))),
+            (AMBIENT, g2, relation(1, [{(0, 0, 2): 1, (0, 0, 0): -8}]), 0.4,
+             ExploreConfig(gen_bound=2, rou_order=6, radicals=((Fraction(2), 8),))),
+            # gamma's torus value is 1 throughout: x = 3 and x t^2 = -3
+            (AMBIENT, unit, relation(1, [{(1, 0, 0): 1, (0, 0, 0): -3}]), 0.3,
+             ExploreConfig(gen_bound=1, rou_order=6, radicals=((Fraction(2), 4),))),
+            (AMBIENT, unit, relation(1, [{(1, 0, 2): 1, (0, 0, 0): 3}]), 0.3, small),
+        ]
+        rng = random.Random(6)
+        for A, G in ((AMBIENT, g2), (AMBIENT, unit), (cls.TORSION, SubgroupGamma.of(
+                [pt(ECPoint.identity(), t_rat(Fraction(-1, 2)))]))):
+            for _ in range(3):
+                X = random_relation(rng, 1, use_xy=True)
+                out.append((A, G, X, 0.3, ExploreConfig(gen_bound=1, rou_order=6,
+                                                        radicals=((Fraction(3), 3),))))
+        return out
+
+    def test_reports_match_per_candidate_loop(self):
+        hits = numeric = 0
+        for A, G, X, eps, config in self.cases():
+            want = reference_explore(A, G, X, eps, config)
+            got = explore_theorem(A, G, X, eps, config)
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            hits += got["hit_count"] > 0
+            numeric += any(h["membership"].startswith("Numeric") for h in got["hits"])
+        assert hits >= 12 and numeric >= 1
+
+    def test_orbit_verdict_matches_built_point(self):
+        # the substituted divisibility test against curve_membership on the
+        # point _point_add builds, for r in +-Q*, alpha a root of unity of
+        # order <= 12 or a radical, e = +-1; relations planted to vanish at
+        # r alpha^e exercise "yes", random ones mostly "no"
+        rng = random.Random(66)
+        alphas = [root_of_unity(n, k) for n in range(1, 13)
+                  for k in range(1, n + 1) if math.gcd(n, k) == 1]
+        alphas += [radical(Fraction(p), m) for p in (2, 3, 5) for m in (2, 3, 4, 5)]
+        verdicts = set()
+        for alpha in alphas:
+            for e in (1, -1):
+                r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                ec = rng.choice((ECPoint.identity(), GEN_EC))
+                gamma = pt(ec, t_rat(r))
+                z = pt(ECPoint.identity(), TorusElement(alpha, e))
+                # f(s) at s = (t / r)^e, times y / 5 when y = 5, times (t - q)
+                f = alpha.minpoly.coeffs
+                planted = {}
+                for i, a in enumerate(f):
+                    if a:
+                        key = (0, int(not ec.is_identity), e * i)
+                        planted[key] = Fraction(a) / r ** (e * i) / (5 if key[1] else 1)
+                q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                cofactor = {}
+                for (a, b, k), c in planted.items():
+                    cofactor[(a, b, k + 1)] = cofactor.get((a, b, k + 1), 0) + c
+                    cofactor[(a, b, k)] = cofactor.get((a, b, k), 0) - q * c
+                cofactor = {k: c for k, c in cofactor.items() if c}
+                x = sa._point_add(AMBIENT, gamma, z)
+                for X in (relation(1, [planted]), relation(1, [cofactor]),
+                          random_relation(rng, 1, use_xy=not ec.is_identity)):
+                    want = curve_membership(X, x)
+                    assert want.is_exact
+                    fallback, classes = sa._membership_classes([z])
+                    assert fallback == [] and len(classes) == 1
+                    (slot, values, t, indices), = classes[z.ec].values()
+                    xy = (ec.x, ec.y) if not ec.is_identity else (Fraction(0),) * 2
+                    got = sa._class_on_locus(X, xy, [r], slot, values, t, {})
+                    assert got == want.is_yes, (alpha, e, r, X)
+                    verdicts.add(got)
+                assert curve_membership(relation(1, [planted]), x).is_yes
+        assert verdicts == {True, False}
