@@ -15,14 +15,20 @@ Root enclosures are disks (center, radius) certified to contain exactly one
 root: the radius bound is the classical  d * |p(z)/p'(z)|  (distance from z
 to the nearest root of p is at most that), evaluated with a rigorous
 floating-point error majorant, and pairwise disjointness of the d disks
-pigeonholes one root per disk.
+pigeonholes one root per disk. One certifier serves every polynomial: it
+rescales x = 2^k y so that the roots and coefficients lie in float64 range,
+seeds in float64 (closed forms for binomials and Phi_n, else np.roots),
+and certifies in float64, then polishes the same centres in mpmath at
+doubling precision only when float64 cannot reach eps or separate the
+disks. The Newton-and-bound step and the disk geometry are written once
+for both precisions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
@@ -72,14 +78,20 @@ class ReducibleMinpolyError(AlgebraicError):
 
 
 class RootRefinementError(AlgebraicError):
-    """Root certification did not converge within the iteration budget."""
+    """Certification did not reach the requested radius.
 
-    def __init__(self, achieved_radius: float, budget: int):
+    Carries what reproduces the failure: the polynomial, the requested
+    eps, the achieved radius and the last precision tried, in bits.
+    """
+
+    def __init__(self, poly, eps: float, achieved_radius: float, prec: int):
+        self.poly = poly
+        self.eps = eps
         self.achieved_radius = achieved_radius
-        self.budget = budget
+        self.prec = prec
         super().__init__(
-            f"root refinement exhausted {budget} sweeps; "
-            f"achieved radius {achieved_radius:.3e}"
+            f"could not certify {poly} to radius {eps:.3e}: achieved "
+            f"{achieved_radius:.3e} at {prec}-bit precision"
         )
 
 
@@ -304,176 +316,114 @@ class CertifiedRoot:
         return float(a)
 
 
-class _Rec:
-    """Mutable working record during refinement (internal)."""
-
-    __slots__ = ("re", "im", "rad", "real", "exact", "mult", "pair")
-
-    def __init__(self, re, im, rad):
-        self.re = mpf(re)
-        self.im = mpf(im)
-        self.rad = mpf(rad)
-        self.real = None  # True / False / None = undecided
-        self.exact = None
-        self.mult = 1
-        self.pair = None
+_MAX_DPS = 2560  # last rung of the mpmath ladder 40, 80, ..., 2560 digits
 
 
-_ROOT_BUDGET = 200  # total polish sweeps per polynomial, then give up
-
-
-def _closed_form_seeds(coeffs) -> Optional[np.ndarray]:
-    """float64 roots of a binomial or cyclotomic polynomial, else None.
+def _closed_form_seeds(coeffs) -> Optional[tuple]:
+    """(log rho, unit): the roots rho * unit of a binomial or cyclotomic
+    polynomial, unit a complex128 array, else None.
 
     c_d x^d + c_0 has the roots rho * exp(i pi (2k + delta) / d) with
     rho = |c_0/c_d|^(1/d) and delta = 1 exactly when c_0/c_d > 0; Phi_n,
     recognised by exact comparison, has the roots exp(2 pi i k / n) with
-    gcd(k, n) = 1. The seeds are certified like any other.
+    gcd(k, n) = 1. rho stays a logarithm until the caller rescales it, so
+    no modulus leaves float64 range. The seeds are certified like any other.
     """
     d = len(coeffs) - 1
     if d >= 2 and coeffs[0] and not any(coeffs[1:-1]):
         log_rho = (math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / d
-        if abs(log_rho) > 700:
-            return None
         delta = 1 if (coeffs[0] > 0) == (coeffs[-1] > 0) else 0
-        k = np.arange(d)
-        return math.exp(log_rho) * np.exp(1j * np.pi * (2 * k + delta) / d)
+        return log_rho, np.exp(1j * np.pi * (2 * np.arange(d) + delta) / d)
     n = _cyclotomic_order(coeffs)
     if n is None:
         return None
     ks = np.array([k for k in range(n) if math.gcd(k, n) == 1])
-    return np.exp(2j * np.pi * ks / n)
+    return 0.0, np.exp(2j * np.pi * ks / n)
 
 
-def _stage_a(coeffs, seeds):
-    """float64 seed + polish + certification; None if not applicable/failed.
+def _root_scale(coeffs):
+    """(k, j) for the rescaled polynomial q(y) = 2^-j p(2^k y).
 
-    Seeds are the closed-form roots when given, else np.roots eigenvalues.
-    Returns (centers, radii) arrays with radii certified via the d*|p/p'|
-    bound and a rounding majorant. Requires coefficients exactly
-    representable in double precision.
-    """
+    2^k is max |c_(d-i)/c_d|^(1/i) rounded to a power of two from bit
+    lengths, so by Fujiwara's bound (twice that maximum) q's roots have
+    modulus below 2^(5/2), and 2^-j brings every coefficient below 1 with
+    the largest at least 1/2. Powers of two scale exactly, in float64 as
+    in mpmath."""
     d = len(coeffs) - 1
-    if d < 1 or any(abs(c) > 2**52 for c in coeffs):
-        return None
-    if seeds is not None:
-        z = seeds
-    else:
-        try:
-            z = np.roots(np.array(coeffs[::-1], dtype=float))
-        except np.linalg.LinAlgError:
-            return None
-    if len(z) != d or not np.all(np.isfinite(z)):
-        return None
-    asc = np.array(coeffs, dtype=float)
-    dasc = asc[1:] * np.arange(1, d + 1)
+    top = abs(coeffs[-1]).bit_length()
+    k = max(
+        round((abs(c).bit_length() - top) / (d - i)) for i, c in enumerate(coeffs[:-1]) if c
+    )
+    j = max(abs(c).bit_length() + k * i for i, c in enumerate(coeffs) if c)
+    return k, j
 
-    def horner(cs, x):
-        acc = np.zeros_like(x) + cs[-1]
-        for c in cs[-2::-1]:
-            acc = acc * x + c
-        return acc
 
+def _horner(cs, x):
+    acc = np.zeros_like(x) + cs[-1]
+    for c in cs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _newton_bound(q, z, u):
+    """Three Newton steps for q at the centres z, then certified radii.
+
+    q holds the coefficients (constant term first) rounded to the working
+    precision, whose unit roundoff is u: float64 with complex128 centres,
+    or mpf with mpc centres. Every root of q lies within d |q(z)/q'(z)| of
+    z; |q(z)| is bounded above and |q'(z)| below by the rounding majorant
+    10 d u * sum |q_i| |z|^i. It covers complex Horner, at most
+    (2 sqrt 2 + 1) d u, plus the rounding of the coefficients to the
+    working precision, at most 2u (u, and u more for i q_i), for every
+    d >= 1; u * 1e-290 covers the gradual underflow of float64. The radius
+    is inf where |q'(z)| is not certifiably nonzero."""
+    d = len(q) - 1
+    dq = q[1:] * np.arange(1, d + 1, dtype=q.dtype)
     for _ in range(3):
-        pv = horner(asc, z)
-        dv = horner(dasc, z)
-        step = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0)
-        z = z - step
-    pv = horner(asc, z)
-    dv = horner(dasc, z)
-    azs = np.abs(z)
-    pt = horner(np.abs(asc), azs)  # majorant sum |c_i| |z|^i
-    dt = horner(np.abs(dasc), azs)
-    u = 2.0**-53
-    # 10*d*u covers accumulated complex Horner rounding with slack
-    ep = 10 * d * u * pt + 1e-300
-    ed = 10 * d * u * dt + 1e-300
-    den = np.abs(dv) - ed
-    if np.any(den <= 0):
-        return None
-    rad = d * (np.abs(pv) + ep) / den * (1 + 1e-12)
-    if not np.all(np.isfinite(rad)):
-        return None
+        pv, dv = _horner(q, z), _horner(dq, z)
+        z = z - np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0)
+    pv, dv = _horner(q, z), _horner(dq, z)
+    az = np.abs(z)
+    grow = 10 * d * u
+    ep = grow * _horner(np.abs(q), az) + u * 1e-290
+    den = np.abs(dv) - (grow * _horner(np.abs(dq), az) + u * 1e-290)
+    ok = den > 0
+    rad = np.where(ok, d * (np.abs(pv) + ep) / np.where(ok, den, 1) * (1 + 1e-12), np.inf)
     return z, rad
 
 
-def _mp_eval_bounds(poly: IntPolynomial, z: mpc):
-    """(p(z), |p(z)| upper, |p'(z)| lower) with rounding majorants at mp.prec."""
-    d = poly.degree
-    pv = poly(z)
-    dpoly = poly.derivative()
-    dv = dpoly(z)
-    az = abs(z)
-    pt = mpf(0)
-    for c in reversed(poly.coeffs):
-        pt = pt * az + abs(c)
-    dt = mpf(0)
-    for c in reversed(dpoly.coeffs):
-        dt = dt * az + abs(c)
-    u = mpf(2) ** (2 - mp.prec)
-    ep = 10 * d * u * pt
-    ed = 10 * d * u * dt
-    hi = abs(pv) + ep
-    lo = abs(dv) - ed
-    return pv, dv, hi, lo
+def _geometry(z, rad):
+    """Certify the disks (z, rad) disjoint, and their realness and order.
 
-
-def _polish_mp(poly: IntPolynomial, rec: _Rec, target):
-    """Newton-polish one record at current mp precision; update center/radius."""
-    d = poly.degree
-    if rec.real is True:
-        z = mpc(rec.re, 0)
-    else:
-        z = mpc(rec.re, rec.im)
-    dpoly = poly.derivative()
-    for _ in range(24):
-        pv = poly(z)
-        dv = dpoly(z)
-        if dv == 0:
-            break
-        step = pv / dv
-        z = z - step
-        if abs(step) < target / (4 * d):
-            break
-    _, _, hi, lo = _mp_eval_bounds(poly, z)
-    if lo > 0:
-        rad = d * hi / lo * (1 + mpf(2) ** (-40))
-        if rec.real is True:
-            # keep the representation exactly real
-            rad = rad + abs(z.imag)
-            z = mpc(z.real, 0)
-        rec.re, rec.im, rec.rad = mpf(z.real), mpf(z.imag), mpf(rad)
-
-
-def _geometry_np(z, r):
-    """Certify disjointness, realness, pairing, order in float64.
-
-    Margins are one-sided: a pair within relative 1e-9 of touching is treated
-    as overlapping, which can only force refinement, never a wrong
-    certificate. Returns (real_flags, pair, order, lex) or None if
-    ambiguous; lex is set when every re-group is one root or a conjugate
-    pair, so that order is the lexicographic (re, im) order of the roots.
+    z holds complex128 or mpc centres, rad float64 or mpf radii. Every test
+    compares a distance computed from differences of centres, so its
+    rounding is relative to that distance, and the one-sided margin treats
+    a pair within relative 1e-9 of touching as overlapping: that can only
+    force refinement, never a wrong certificate. Returns (real, order, lex)
+    or None if ambiguous: real flags the disks certified to hold a real
+    root, and lex is set when every group of roots with overlapping real
+    parts is one root or a conjugate pair, so that order is the
+    lexicographic (re, im) order of the roots.
     """
     n = len(z)
-    rr = (r[:, None] + r[None, :]) * (1 + 1e-9) + 1e-290
-    dd = np.abs(z[:, None] - z[None, :])
-    over = dd <= rr
-    np.fill_diagonal(over, False)
-    if over.any():
-        return None
-    overm = np.abs(z[:, None] - np.conj(z)[None, :]) <= rr
+    rr = (rad[:, None] + rad[None, :]) * (1 + 1e-9)
+    dz = z[:, None] - z[None, :]
+    # the mirror image of a disk meets exactly one disk: its own if the root
+    # is real, else the conjugate root's
+    mirror = np.abs(z[:, None] - np.conj(z)[None, :]) <= rr
     real = np.zeros(n, dtype=bool)
     pair = np.full(n, -1)
     for i in range(n):
-        hits = np.nonzero(overm[i])[0]
+        hits = np.nonzero(mirror[i])[0]
         if len(hits) != 1:
             return None
         if hits[0] == i:
             real[i] = True
         else:
             pair[i] = hits[0]
-    # group roots whose real parts are not certifiably separated
-    re, im = z.real, z.imag
+    # group roots whose real parts are not certifiably separated (dz +
+    # conj(dz) is twice the real part of dz, exactly); inside a group the
+    # imaginary parts must be, so this also certifies the disks disjoint
     parent = list(range(n))
 
     def find(i):
@@ -482,7 +432,7 @@ def _geometry_np(z, r):
             i = parent[i]
         return i
 
-    for i, j in zip(*np.nonzero(np.abs(re[:, None] - re[None, :]) <= rr)):
+    for i, j in zip(*np.nonzero(np.abs(dz + np.conj(dz)) <= 2 * rr)):
         if i < j:
             parent[find(int(i))] = find(int(j))
     groups = {}
@@ -492,114 +442,47 @@ def _geometry_np(z, r):
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 i, j = members[a], members[b]
-                if abs(im[i] - im[j]) <= rr[i, j]:
+                if abs(dz[i, j].imag) <= rr[i, j]:
                     return None
-    gkey = {g: min(float(re[i]) for i in members) for g, members in groups.items()}
-    order = sorted(range(n), key=lambda i: (gkey[find(i)], float(im[i]), float(re[i])))
+    gkey = {g: min(z[i].real for i in members) for g, members in groups.items()}
+    order = sorted(range(n), key=lambda i: (gkey[find(i)], z[i].imag, z[i].real))
     lex = all(len(m) == 1 or (len(m) == 2 and pair[m[0]] == m[1]) for m in groups.values())
-    return real, pair, order, lex
+    return real, order, lex
 
 
-def _disjoint(recs) -> bool:
-    for i in range(len(recs)):
-        for j in range(i + 1, len(recs)):
-            dx = recs[i].re - recs[j].re
-            dy = recs[i].im - recs[j].im
-            if mp.sqrt(dx * dx + dy * dy) <= recs[i].rad + recs[j].rad:
-                return False
-    return True
+def _certify_scaled(q, z, u, eps_y, k):
+    """(z, rad, done): one Newton-and-bound pass at unit roundoff u, with
+    done = (roots, lex) once every radius is at most eps_y and the disks
+    are separated, else None.
 
-
-def _classify_real_and_pair(recs) -> bool:
-    """Set .real and .pair on each record; False if still ambiguous."""
-    n = len(recs)
-    for r in recs:
-        r.pair = None
-        if abs(r.im) > r.rad:
-            r.real = False
-        else:
-            r.real = None
-    ok = True
-    for i, r in enumerate(recs):
-        if r.real is False:
-            # mirror disk must meet exactly one disk: the conjugate root's
-            hits = []
-            for j, s in enumerate(recs):
-                dx = r.re - s.re
-                dy = -r.im - s.im
-                if mp.sqrt(dx * dx + dy * dy) <= r.rad + s.rad:
-                    hits.append(j)
-            if len(hits) == 1 and hits[0] != i:
-                r.pair = hits[0]
-            else:
-                ok = False
-        elif r.real is None:
-            # disk crosses the axis; real iff the mirror disk meets only itself
-            alone = True
-            for j, s in enumerate(recs):
-                if j == i:
-                    continue
-                dx = r.re - s.re
-                dy = -r.im - s.im
-                if mp.sqrt(dx * dx + dy * dy) <= r.rad + s.rad:
-                    alone = False
-            if alone:
-                r.real = True
-                r.rad = r.rad + abs(r.im)
-                r.im = mpf(0)
-            else:
-                ok = False
-    return ok
-
-
-def _canonical_order(recs):
-    """Sort by (re, im) using certified separations; None if unresolved.
-
-    Records whose real-part intervals overlap are grouped (transitively) and
-    ordered inside the group by imaginary part, which must then be certified
-    disjoint. Groups themselves are separated in re, so the order is total.
-    Returns (order, lex), lex as in _geometry_np.
-    """
-    n = len(recs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(recs[i].re - recs[j].re) <= recs[i].rad + recs[j].rad:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    for members in groups.values():
-        if len(members) == 1:
-            continue
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, j = members[a], members[b]
-                if abs(recs[i].im - recs[j].im) <= recs[i].rad + recs[j].rad:
-                    return None  # same re-group but im not separated: refine
-    # groups are re-separated from each other; inside a group (equal re up
-    # to certification) the imaginary part decides
-    gkey = {g: min(float(recs[i].re) for i in members) for g, members in groups.items()}
-    order = sorted(
-        range(n),
-        key=lambda i: (gkey[find(i)], float(recs[i].im), float(recs[i].re)),
-    )
-    lex = all(
-        len(m) == 1 or (len(m) == 2 and recs[m[0]].pair == m[1]) for m in groups.values()
-    )
-    return order, lex
+    q, z and eps_y are in y = x / 2^k; the roots are returned in x, exactly
+    scaled, at the current mpmath precision."""
+    z, rad = _newton_bound(q, z, u)
+    geom = _geometry(z, rad) if np.all(rad <= eps_y) else None
+    if geom is None:
+        return z, rad, None
+    real, order, lex = geom
+    out = []
+    for i in order:
+        x, y, r = mpf(z[i].real), mpf(z[i].imag), mpf(rad[i] * (1 + 1e-12))
+        if real[i]:
+            # keep the representation exactly real
+            r, y = r + abs(y), mpf(0)
+        if k:
+            x, y, r = mp.ldexp(x, k), mp.ldexp(y, k), mp.ldexp(r, k)
+        out.append(CertifiedRoot(x, y, r, bool(real[i])))
+    return z, rad, (out, lex)
 
 
 def _roots_squarefree(poly: IntPolynomial, eps: float):
-    """(records, lex): certified, canonically ordered enclosures of a
-    squarefree polynomial, lex as in _geometry_np."""
+    """(roots, lex): certified, canonically ordered enclosures of a
+    squarefree polynomial, lex as in _geometry.
+
+    The work is done on q(y) = 2^-j p(2^k y) (see _root_scale), whose
+    roots and coefficients lie in float64 range. Seeds are the closed-form
+    roots or np.roots eigenvalues; a float64 pass polishes and bounds them,
+    and only when its disks are too wide or not separated does an mpmath
+    ladder of doubling precision polish its centres further."""
     d = poly.degree
     if d == 1:
         c0, c1 = poly.coeffs
@@ -607,66 +490,32 @@ def _roots_squarefree(poly: IntPolynomial, eps: float):
         with mp.workdps(40):
             re = mpf(val.numerator) / mpf(val.denominator)
             rad = abs(re) * mpf(2) ** (-100) + mpf(2) ** (-200)
-        rec = _Rec(re, mpf(0), rad)
-        rec.real = True
-        rec.exact = val
-        return [rec], True
+        return [CertifiedRoot(re, mpf(0), rad, True, exact=val)], True
 
-    target = mpf(eps)
-    budget = _ROOT_BUDGET
+    k, j = _root_scale(poly.coeffs)
+    eps_y = mp.ldexp(mpf(eps), -k)
+    exps = [k * i - j for i in range(d + 1)]
+    q = np.array([float(c << e) if e >= 0 else c / (1 << -e) for c, e in zip(poly.coeffs, exps)])
     seeds = _closed_form_seeds(poly.coeffs)
-    seeded = _stage_a(poly.coeffs, seeds)
-    if seeded is not None:
-        zs, rads = seeded
-        if np.all(rads <= eps):
-            geom = _geometry_np(zs, rads)
-            if geom is not None:
-                real, _, order, lex = geom
-                out = []
-                for i in order:
-                    rec = _Rec(zs[i].real, zs[i].imag, rads[i] * (1 + 1e-12))
-                    if real[i]:
-                        rec.real = True
-                        rec.rad = rec.rad + abs(rec.im)
-                        rec.im = mpf(0)
-                    else:
-                        rec.real = False
-                    out.append(rec)
-                return out, lex
-        recs = [_Rec(z.real, z.imag, r) for z, r in zip(zs, rads)]
-    elif seeds is not None:
-        recs = [_Rec(z.real, z.imag, 1) for z in seeds]
+    if seeds is not None:
+        z = math.exp(seeds[0] - k * math.log(2)) * seeds[1]
     else:
-        with mp.workdps(40):
-            try:
-                zs = mp.polyroots(
-                    [mpf(c) for c in reversed(poly.coeffs)], maxsteps=100, extraprec=80
-                )
-            except Exception as exc:
-                raise RootRefinementError(float("inf"), budget) from exc
-            recs = [_Rec(mpf(z.real), mpf(z.imag), mpf(1)) for z in zs]
-    dps = 40
-
-    while budget > 0:
+        try:
+            z = np.roots(q[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise RootRefinementError(poly, eps, math.inf, 53) from exc
+    z, rad, done = _certify_scaled(q, z, 2.0**-53, float(eps_y), k)
+    prec, dps = 53, 40
+    while done is None and dps <= _MAX_DPS:
         with mp.workdps(dps):
-            for rec in recs:
-                _polish_mp(poly, rec, target)
-            budget -= 1
-            good = (
-                all(r.rad <= target for r in recs)
-                and _disjoint(recs)
-                and _classify_real_and_pair(recs)
-            )
-            if good:
-                ordered = _canonical_order(recs)
-                if ordered is not None:
-                    order, lex = ordered
-                    return [recs[i] for i in order], lex
+            prec = mp.prec
+            qm = np.array([mp.ldexp(mpf(c), e) for c, e in zip(poly.coeffs, exps)], dtype=object)
+            zm = np.array([mpc(w.real, w.imag) for w in z], dtype=object)
+            z, rad, done = _certify_scaled(qm, zm, mpf(2) ** (1 - prec), eps_y, k)
         dps *= 2
-        if dps > 3000:
-            break
-    achieved = max(float(r.rad) for r in recs)
-    raise RootRefinementError(achieved, _ROOT_BUDGET)
+    if done is None:
+        raise RootRefinementError(poly, eps, float(mp.ldexp(max(rad), k)), prec)
+    return done
 
 
 def _eps_bucket(eps: float) -> float:
@@ -676,7 +525,7 @@ def _eps_bucket(eps: float) -> float:
 
 
 def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
-    """(roots, lex): certified roots in canonical order, lex as in _geometry_np."""
+    """(roots, lex): certified roots in canonical order, lex as in _geometry."""
     poly = IntPolynomial(coeffs)
     if trusted_squarefree:
         pieces = [(poly, 1)]
@@ -690,43 +539,33 @@ def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
         ]
         if not pieces:
             raise AlgebraicError("constant polynomial has no roots")
-    allrecs = []
-    for piece, mult in pieces:
-        recs, lex = _roots_squarefree(piece, eps)
-        for rec in recs:
-            rec.mult = mult
-            allrecs.append(rec)
-    if len(pieces) > 1:
+    if len(pieces) == 1:
+        piece, mult = pieces[0]
+        rs, lex = _roots_squarefree(piece, eps)
+        if mult > 1:
+            rs = [replace(r, multiplicity=mult) for r in rs]
+    else:
         # cross-factor disks are disjoint mathematically; refine until visibly so
-        tries = 0
-        while not _disjoint(allrecs) and tries < 8:
-            finer = eps / 16 ** (tries + 1)
-            allrecs = []
-            for piece, mult in pieces:
-                for rec in _roots_squarefree(piece, finer)[0]:
-                    rec.mult = mult
-                    allrecs.append(rec)
-            tries += 1
-        with mp.workdps(60):
-            if not _classify_real_and_pair(allrecs):
-                raise RootRefinementError(max(float(r.rad) for r in allrecs), _ROOT_BUDGET)
-            ordered = _canonical_order(allrecs)
-        if ordered is None:
-            raise RootRefinementError(max(float(r.rad) for r in allrecs), _ROOT_BUDGET)
-        order, lex = ordered
-        allrecs = [allrecs[i] for i in order]
-    out = []
-    for rec in allrecs:
-        root = CertifiedRoot(
-            re=rec.re,
-            im=rec.im,
-            radius=rec.rad,
-            is_real=bool(rec.real),
-            multiplicity=rec.mult,
-            exact=rec.exact,
-        )
-        out.extend([root] * rec.mult)
-    return tuple(out), lex
+        for tries in range(9):
+            finer = eps / 16**tries
+            rs = [
+                replace(r, multiplicity=mult)
+                for piece, mult in pieces
+                for r in _roots_squarefree(piece, finer)[0]
+            ]
+            # centres at a precision that holds every one exactly
+            with mp.workprec(max([mp.prec] + [x.bc for r in rs for x in (r.re, r.im)])):
+                geom = _geometry(
+                    np.array([r.center for r in rs], dtype=object),
+                    np.array([r.radius for r in rs], dtype=object),
+                )
+            if geom is not None:
+                break
+        else:
+            raise RootRefinementError(poly, finer, max(float(r.radius) for r in rs), mp.prec)
+        _, order, lex = geom
+        rs = [rs[i] for i in order]
+    return tuple(r for r in rs for _ in range(r.multiplicity)), lex
 
 
 class _CacheInfo(NamedTuple):
@@ -787,11 +626,13 @@ def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False
     r < 0, so r*a keeps a's root index i, or takes d-1-i (see
     scale_by_rational). Binomials c_d x^d + c_0 and
     cyclotomic polynomials are seeded from their closed-form roots, other
-    polynomials from np.roots (mpmath when the coefficients exceed
-    float64); every seed is certified by the same d*|p/p'| disk bound.
-    The finest certification of each polynomial is cached and serves
-    coarser requests. Raises RootRefinementError (with the achieved radius)
-    if certification does not converge within the iteration budget.
+    polynomials from np.roots, always on p rescaled by a power of two into
+    float64 range; every seed is certified by the same d*|p/p'| disk bound,
+    in float64 and, where that cannot reach eps or separate the disks, in
+    mpmath at up to 2560 digits. The finest certification of each
+    polynomial is cached and serves coarser requests. Raises
+    RootRefinementError (with the polynomial, eps, achieved radius and last
+    precision) if certification does not converge.
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
@@ -857,10 +698,11 @@ def mahler_log(
                     lo += mp.log(alo)
             err = float((hi - lo) / 2)
             val = float((hi + lo) / 2)
+            prec = mp.prec
         if err <= tol:
             return MahlerLog(val, err)
         eps /= 256
-    raise RootRefinementError(err, _ROOT_BUDGET)
+    raise RootRefinementError(p, tol, err, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +718,7 @@ class AlgebraicNumber:
     index: int
 
     def __post_init__(self):
-        if not (0 <= self.index < self.minpoly.degree + 1):
+        if not (0 <= self.index < self.minpoly.degree):
             raise AlgebraicError("root_index out of range")
 
     @classmethod
@@ -1141,7 +983,10 @@ class TorusElement:
         return self.exponent == 0 or is_root_of_unity(self.base) is not None
 
     def rational_value(self) -> Optional[Fraction]:
-        """Exact value when base is rational (any exponent), else None."""
+        """Exact value when base is rational (any exponent) or the exponent
+        is 0, else None."""
+        if self.exponent == 0:
+            return Fraction(1)
         if not self.base.is_rational:
             return None
         b = self.base.as_rational()

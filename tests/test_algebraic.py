@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from smallpoints import algebraic, equidist
 from smallpoints.algebraic import (
@@ -200,6 +200,9 @@ class TestAlgebraicNumber:
     def test_index_out_of_range(self):
         with pytest.raises(AlgebraicError):
             AlgebraicNumber.from_minpoly((-2, 0, 1), index=5)
+        # a degree-d polynomial has the indices 0..d-1, however it is built
+        with pytest.raises(AlgebraicError):
+            AlgebraicNumber(IntPolynomial((-2, 0, 1)), 2)
 
     def test_select_by_approx(self):
         a = AlgebraicNumber.from_minpoly((-2, 0, 1), approx=1.414)
@@ -462,17 +465,166 @@ class TestIndexMap:
                     assert contains(b.enclosure(eps), ra), (a, r, eps)
 
     def test_scaled_cyclotomic_regression(self):
-        # Phi_11(2352637 x) once defeated the certifier inside the matcher
+        # Phi_11(2352637 x) once defeated the certifier inside the matcher,
+        # and its enclosures and heights
         r = Fraction(1, 2352637)
         for k in range(1, 11):
             a = root_of_unity(11, k)
             b = scale_by_rational(a, r)
             assert b.index == a.index and b.degree == 10
+            with mp.workdps(60):
+                want = mp.expjpi(mpf(2 * k) / 11) / 2352637
+            assert contains(b.enclosure(), want)
+            assert abs(weil_height(b) - math.log(2352637)) <= 1e-12
 
     def test_roundtrip_negative(self):
         a = root_of_unity(12, 5)
         b = scale_by_rational(scale_by_rational(a, Fraction(-7, 3)), Fraction(-3, 7))
         assert b == a
+
+
+def scaled_poly(coeffs, r):
+    """The primitive polynomial with the roots z / r, z the roots of coeffs."""
+    s, t = Fraction(r).numerator, Fraction(r).denominator
+    d = len(coeffs) - 1
+    return IntPolynomial(tuple(c * s**i * t ** (d - i) for i, c in enumerate(coeffs))).primitive()
+
+
+def rand_irreducible(rng, bits, d):
+    while True:
+        cs = [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(d + 1)]
+        p = IntPolynomial(tuple(cs)).primitive()
+        if p.degree == d and algebraic._irreducible_or_factor(p) is None:
+            return p.coeffs
+
+
+def certifier_corpus():
+    """Seeded cases, each a list of factors (base coefficients, r) whose
+    product of base(r x) is certified: scaled Phi_n and Lehmer (r up to
+    10^+-12, and past float64 range), random
+    irreducibles with 60-200-bit coefficients, and products whose root
+    moduli are spread by up to 10^20, one with a repeated factor."""
+    rng = random.Random(20261018)
+    cases = []
+    for n in (3, 5, 7, 11, 12, 15):
+        for e in (-12, -6, 6, 12):
+            cases.append([(algebraic._cyclotomic(n), Fraction(10) ** e)])
+    cases += [[(algebraic._cyclotomic(11), r)] for r in (2352637, Fraction(1, 2352637))]
+    cases += [[(LEHMER.coeffs, Fraction(10) ** e)] for e in (-12, -3, 3, 12)]
+    # coefficients spread past float64 range before the rescaling
+    cases += [[(algebraic._cyclotomic(5), Fraction(10) ** e)] for e in (-80, 80)]
+    cases += [[(LEHMER.coeffs, Fraction(10) ** e)] for e in (-40, 40)]
+    for bits in (60, 100, 150, 200):
+        for d in (3, 5, 8):
+            cases.append([(rand_irreducible(rng, bits, d), 1)])
+    cases += [
+        [((1, 0, 1), 1), ((1, 0, 1), 10**12)],
+        [((-2, 0, 0, 1), 1), ((-1, 0, 0, 1), Fraction(1, 10**12))],
+        [(algebraic._cyclotomic(7), 1), ((-1, 1), 10**15)],
+        [((1, 1, 1), 1), ((1, 0, 0, 0, 1), Fraction(1, 10**10))],
+        [(LEHMER.coeffs, 1), ((3, 0, 1), 10**10)],
+        [((-2, 0, 1), 1), ((-2, 0, 1), 1), ((1, 0, 1), 10**12)],
+    ]
+    return cases
+
+
+class TestCertifierCorpus:
+    """Every corpus case certifies at eps 1e-9 (float64) and 1e-30 (mpmath),
+    each distinct disk holds one distinct root of a 60-digit mp.polyroots
+    reference, and the canonical index of every root is the same at both
+    eps."""
+
+    @staticmethod
+    def reference(factors):
+        out = []
+        with mp.workdps(60):
+            for base, r in dict.fromkeys(factors):
+                r = Fraction(r)
+                zs = mp.polyroots([mpf(c) for c in reversed(base)], maxsteps=100, extraprec=60)
+                out += [z * r.denominator / r.numerator for z in zs]
+        return out
+
+    @staticmethod
+    def held(rs, ref):
+        """The reference root each disk holds, up to the reference's own
+        60-digit error, in disk order."""
+        got = []
+        for r in rs:
+            with mp.workdps(60):
+                hits = [
+                    i for i, z in enumerate(ref)
+                    if abs(r.center - z) <= r.radius + abs(z) * mpf(10) ** -55
+                ]
+            assert len(hits) == 1
+            got.append(hits[0])
+        assert sorted(got) == list(range(len(ref)))
+        return got
+
+    def test_corpus(self):
+        algebraic._ordered_roots.cache_clear()
+        for factors in certifier_corpus():
+            p = IntPolynomial((1,))
+            for base, r in factors:
+                p = p * scaled_poly(base, r)
+            ref = self.reference(factors)
+            held = []
+            for eps in (1e-9, 1e-30):
+                rs = roots(p, eps)
+                assert len(rs) == p.degree
+                assert all(float(r.radius) <= eps for r in rs), (p, eps)
+                distinct = list(dict.fromkeys(rs))
+                assert sum(r.multiplicity for r in distinct) == p.degree
+                held.append(self.held(distinct, ref))
+            assert held[0] == held[1], p
+
+
+class TestGeometry:
+    """The one disk geometry gives the same verdicts on float64 and on mpf
+    disks."""
+
+    @staticmethod
+    def verdict(zs, rads):
+        f = algebraic._geometry(np.array(zs, dtype=complex), np.array(rads, dtype=float))
+        with mp.workdps(30):
+            m = algebraic._geometry(
+                np.array([mpc(z) for z in zs], dtype=object),
+                np.array([mpf(r) for r in rads], dtype=object),
+            )
+        if f is None or m is None:
+            assert f is m
+            return None
+        assert (list(f[0]), f[1], f[2]) == (list(m[0]), m[1], m[2])
+        return list(f[0]), f[1], f[2]
+
+    def test_verdicts(self):
+        # a conjugate pair and a real root whose centre is off the axis
+        got = self.verdict([0.5 + 1j, 0.5 - 1j, -2 + 1e-20j], [1e-9] * 3)
+        assert got == ([False, False, True], [2, 1, 0], True)
+        # three roots with one real part sort by imaginary part, not lex
+        got = self.verdict([1 + 2j, 1 - 2j, 1 + 0j], [1e-9] * 3)
+        assert got == ([False, False, True], [1, 2, 0], False)
+        # disks within relative 1e-9 of touching count as overlapping
+        assert self.verdict([0, 2e-9 * (1 + 1e-12)], [1e-9, 1e-9]) is None
+        # a non-real disk whose mirror image meets no disk is ambiguous
+        assert self.verdict([1 + 1j], [0.1]) is None
+        # overlapping disks whose mirror images each meet one disk
+        assert self.verdict([0.5 + 1j, 2 + 1j, 0.5 - 1j, 2 - 1j], [0.9, 0.9, 0.01, 0.01]) is None
+
+
+class TestRootRefinementError:
+    def test_fields_name_the_failure(self, monkeypatch):
+        # with the ladder capped at 40 digits no disk reaches 1e-60
+        monkeypatch.setattr(algebraic, "_MAX_DPS", 40)
+        algebraic._ordered_roots.cache_clear()
+        with pytest.raises(algebraic.RootRefinementError) as info:
+            roots(LEHMER, 1e-60)
+        exc = info.value
+        assert exc.poly == LEHMER and exc.eps == 2.0 ** math.floor(math.log2(1e-60))
+        assert 1e-60 < exc.achieved_radius < 1e-30
+        with mp.workdps(40):
+            assert exc.prec == mp.prec
+        for text in (str(LEHMER), f"{exc.eps:.3e}", f"{exc.prec}-bit"):
+            assert text in str(exc)
 
 
 class TestRootCache:

@@ -390,6 +390,13 @@ class TestMembership:
             "ExactYes"
         )
 
+    def test_exponent_zero_is_one(self):
+        # alpha^0 = 1 for an algebraic alpha: both relations hold there
+        one = pt(ECPoint.identity(), TorusElement(root_of_unity(3), 0))
+        for terms in ({(0, 0, 1): 1, (0, 0, 0): -1}, {(0, 0, 1): 1, (0, 0, 2): 1, (0, 0, 0): -2}):
+            rel = CurveRelation.of([{e: Fraction(c) for e, c in terms.items()}], 1)
+            assert curve_membership(rel, one).kind == "ExactYes"
+
     def test_divisibility_oracle(self):
         zsq = pt(ECPoint.identity(), t_rad(2, 2))
         assert curve_membership(self.T_EQ_2, zsq).kind == "ExactNo"
