@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import sympy
 from mpmath import mp, mpc, mpf
 
 Rational = Union[int, Fraction]
@@ -177,21 +176,16 @@ class IntPolynomial:
                     rem[k + i] -= q * dc
         return all(c == 0 for c in rem[: self.degree])
 
-    def to_sympy(self):
-        return sum(c * _X**i for i, c in enumerate(self.coeffs))
-
     def __str__(self):
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-
-_X = sympy.Symbol("x")
 
 
 def _irreducible_or_factor(poly: IntPolynomial):
     """Return None if irreducible over Q, else a nontrivial factor."""
     if poly.degree == 1:
         return None
-    _, factors = sympy.Poly(poly.to_sympy(), _X).factor_list()
+    import sympy  # general factoring only: sympy stays off the import path
+    _, factors = sympy.Poly(poly.coeffs[::-1], sympy.Symbol("x")).factor_list()
     pieces = [f for f, _ in factors if f.degree() >= 1]
     if len(pieces) == 1 and factors[0][1] == 1 and pieces[0].degree() == poly.degree:
         return None
@@ -530,8 +524,8 @@ def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
     if trusted_squarefree:
         pieces = [(poly, 1)]
     else:
-        expr = sympy.Poly(poly.to_sympy(), _X)
-        _, factors = expr.sqf_list()
+        import sympy  # general factoring only: sympy stays off the import path
+        _, factors = sympy.Poly(poly.coeffs[::-1], sympy.Symbol("x")).sqf_list()
         pieces = [
             (IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs()))), int(m))
             for f, m in factors
@@ -889,11 +883,11 @@ def root_of_unity(n: int, k: int = 1) -> AlgebraicNumber:
 
 
 def radical(r: Rational, m: int) -> AlgebraicNumber:
-    """The real m-th root of the rational r (positive root for r > 0).
-
-    r < 0 requires odd m. The minimal polynomial is the irreducible factor of
-    den*x^m - num owning that real root.
-    """
+    """The real m-th root of the rational r (positive root for r > 0; r < 0
+    requires odd m). By Capelli's theorem (Lang, Algebra VI 9) its minimal
+    polynomial is den(c) x^(m/g) - num(c), where r = c^g and g is the largest
+    divisor of m for which r is a g-th power in Q (c > 0 for r > 0, and r < 0
+    has odd m, so the -4Q^4 case never arises)."""
     r = Fraction(r)
     m = int(m)
     if m < 1:
@@ -902,50 +896,35 @@ def radical(r: Rational, m: int) -> AlgebraicNumber:
         raise AlgebraicError("radical of 0 rejected")
     if r < 0 and m % 2 == 0:
         raise AlgebraicError("even root of a negative rational is not real")
-    if m == 1:
-        return AlgebraicNumber.from_rational(r)
-    raw = IntPolynomial((-r.numerator,) + (0,) * (m - 1) + (r.denominator,)).primitive()
-    if _eisenstein_witness(raw):
-        poly = raw
-    else:
-        factor = _irreducible_or_factor(raw)
-        if factor is None:
-            poly = raw
+    # a failed p-th root stays failed after later roots, so one pass finds g
+    c, d, p = r, m, 2
+    while p <= d:
+        root = _exact_root(c, p) if d % p == 0 else None
+        if root is None:
+            p += 1
         else:
-            # pick the irreducible factor vanishing at the real m-th root
-            _, factors = sympy.Poly(raw.to_sympy(), _X).factor_list()
-            with mp.workdps(60):
-                tval = mp.sign(r) * mp.root(abs(mpf(r.numerator)) / r.denominator, m)
-                best = None
-                for f, _mult in factors:
-                    if f.degree() < 1:
-                        continue
-                    cand = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
-                    v = abs(cand(tval))
-                    if best is None or v < best[0]:
-                        best = (v, cand)
-            poly = best[1].primitive()
+            c, d = root, d // p
+    poly = IntPolynomial((-c.numerator,) + (0,) * (d - 1) + (c.denominator,))
     rs = roots(poly, 1e-12, trusted_squarefree=True)
-    sign = 1 if r > 0 else -1
     for i, rt in enumerate(rs):
-        if rt.is_real and (rt.re > 0) == (sign > 0):
+        if rt.is_real and (rt.re > 0) == (r > 0):
             return AlgebraicNumber(poly, i)
     raise AlgebraicError("no certified real root found for the radical")
 
 
-def _eisenstein_witness(poly: IntPolynomial) -> bool:
-    """True if some prime certifies irreducibility by Eisenstein's criterion."""
-    c0 = abs(poly.constant)
-    if c0 == 0:
-        return False
-    for p in sympy.factorint(c0):
-        if c0 % (p * p) == 0:
-            continue
-        if poly.leading % p == 0:
-            continue
-        if all(c % p == 0 for c in poly.coeffs[:-1]):
-            return True
-    return False
+def _exact_root(c: Fraction, p: int) -> Optional[Fraction]:
+    """The real p-th root of c when it is rational, else None."""
+    if c < 0 and p % 2 == 0:
+        return None
+    out = []
+    for n in (abs(c.numerator), c.denominator):
+        x = 1 << -(-n.bit_length() // p)  # integer Newton from above to floor(n^(1/p))
+        while (y := ((p - 1) * x + n // x ** (p - 1)) // p) < x:
+            x = y
+        if x**p != n:
+            return None
+        out.append(x)
+    return Fraction(out[0] if c > 0 else -out[0], out[1])
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .elliptic import (
     EllipticCurveQ,
     EllipticError,
     OffCurveError,
+    _is_prime,
     canonical_height,
     naive_height,
     require_on_curve,
@@ -545,22 +546,11 @@ def _family(args) -> List[AlgebraicNumber]:
         base = parse_rational(args.radicals)
         return [radical(base, n) for n in range(1, args.n_max + 1)]
     if args.primes_max:
-        return [root_of_unity(p) for p in _primes_upto(args.primes_max)]
+        return [root_of_unity(p) for p in range(2, args.primes_max + 1) if _is_prime(p)]
     body = load_json(args.poly)
     if isinstance(body, list):
         return [parse_algebraic(x) for x in body]
     return [parse_algebraic(body)]
-
-
-def _primes_upto(n: int) -> List[int]:
-    sieve = [True] * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = False
-    return out
 
 
 def _write_csv(path: Path, header: List[str], rows: List[List[str]]) -> None:

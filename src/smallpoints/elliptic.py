@@ -39,10 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-import sympy
 from mpmath import iv, mp, mpf
-
-Rat = Fraction
 
 __all__ = [
     "EllipticError",
@@ -110,12 +107,11 @@ class EllipticCurveQ:
 
     def integral_model(self) -> Tuple["EllipticCurveQ", int]:
         """Smallest u with (u^4 a, u^6 b) integral; map is x -> u^2 x."""
-        den = math.lcm(self.a.denominator, self.b.denominator)
-        u = 1
-        for ell, _ in sympy.factorint(den).items():
-            va = _residue_val(self.a.denominator, ell)
-            vb = _residue_val(self.b.denominator, ell)
-            u *= int(ell) ** max(-(-va // 4), -(-vb // 6))
+        if self.a.denominator == self.b.denominator == 1:
+            return self, 1
+        va, vb = _factor(self.a.denominator), _factor(self.b.denominator)
+        u = math.prod(ell ** max(-(-va.get(ell, 0) // 4), -(-vb.get(ell, 0) // 6))
+                      for ell in {**va, **vb})
         return EllipticCurveQ(self.a * u**4, self.b * u**6), u
 
 
@@ -268,37 +264,45 @@ class DuplicationEnvelope:
     witnesses: Tuple[int, ...]
 
 
-_Y = sympy.Symbol("y")
-
-
 def _clear_bezout(f, g):
-    """Integer Bezout data for coprime f, g in Z[y]: (U, V, R) with
-    U f + V g = R, U, V integer polynomials, R a positive integer."""
-    fp = sympy.Poly(f, _Y, domain="QQ")
-    gp = sympy.Poly(g, _Y, domain="QQ")
-    s, t, h = fp.gcdex(gp)
-    if h.degree() != 0:
+    """Integer Bezout data for coprime f, g in Z[y] (coefficient lists,
+    constant term first) by extended Euclid over Q: (U, V, R) with
+    U f + V g = R, deg U < deg g, deg V < deg f, R a positive integer."""
+    r0, s0, t0 = _trim([Fraction(c) for c in f]), [1], []
+    r1, s1, t1 = _trim([Fraction(c) for c in g]), [], [1]
+    while r1:
+        while len(r0) >= len(r1):  # one quotient term at a time
+            q = [0] * (len(r0) - len(r1)) + [r0[-1] / r1[-1]]
+            r0, s0, t0 = [_minus_product(a, q, b) for a, b in ((r0, r1), (s0, s1), (t0, t1))]
+        (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), (r0, s0, t0)
+    if len(r0) != 1:
         raise SingularCurveError("duplication forms share a factor")
-    c = h.LC()
-    s = sympy.Poly(s.as_expr() / c, _Y, domain="QQ")
-    t = sympy.Poly(t.as_expr() / c, _Y, domain="QQ")
-    dens = [sympy.Rational(x).q for x in s.all_coeffs() + t.all_coeffs()]
-    L = int(sympy.ilcm(*dens)) if dens else 1
-    U = [int(x * L) for x in s.all_coeffs()]
-    V = [int(x * L) for x in t.all_coeffs()]
-    return U, V, L
+    s, t = [x / r0[0] for x in s0], [x / r0[0] for x in t0]
+    L = math.lcm(*(x.denominator for x in s + t))
+    return [int(x * L) for x in s], [int(x * L) for x in t], L
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _minus_product(a: list, q: list, b: list) -> list:
+    """a - q b on coefficient lists, constant term first."""
+    out = a + [0] * (len(q) + len(b) - 1 - len(a))
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            out[i + j] -= x * y
+    return _trim(out)
 
 
 @lru_cache(maxsize=128)
 def _envelope_cached(A: int, B: int) -> DuplicationEnvelope:
-    f = _Y**4 - 2 * A * _Y**2 - 8 * B * _Y + A * A
-    g = 4 * (_Y**3 + A * _Y + B)
-    U1, V1, R1 = _clear_bezout(f, g)
+    U1, V1, R1 = _clear_bezout([A * A, -8 * B, -2 * A, 0, 1], [4 * B, 4 * A, 0, 4])
     D1 = sum(abs(c) for c in U1) + sum(abs(c) for c in V1)
     # reversed forms: identities in p instead of q
-    fr = A * A * _Y**4 - 8 * B * _Y**3 - 2 * A * _Y**2 + 1
-    gr = 4 * (B * _Y**4 + A * _Y**3 + _Y)
-    U2, V2, R2 = _clear_bezout(fr, gr)
+    U2, V2, R2 = _clear_bezout([1, 0, -2 * A, -8 * B, A * A], [0, 4, 0, 4 * A, 4 * B])
     D2 = sum(abs(c) for c in U2) + sum(abs(c) for c in V2)
     c_upper = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
     with mp.workdps(30):
@@ -307,7 +311,7 @@ def _envelope_cached(A: int, B: int) -> DuplicationEnvelope:
         )
     return DuplicationEnvelope(
         C=C, R1=R1, R2=R2, D1=D1, D2=D2, C_upper=float(mp.log(c_upper)),
-        R1_factors=tuple((int(ell), int(c)) for ell, c in sympy.factorint(R1).items()),
+        R1_factors=tuple(_factor(R1).items()),
         witnesses=tuple(_witness_primes(R1)),
     )
 
@@ -403,13 +407,50 @@ class _SuspectedExactZero(Exception):
 
 
 def _witness_primes(R1: int, count: int = 3) -> List[int]:
-    out = []
-    w = 1 << 61
+    out, w = [], 1 << 61
     while len(out) < count:
-        w = int(sympy.nextprime(w))
-        if R1 % w != 0:
+        w += 1
+        if _is_prime(w) and R1 % w != 0:
             out.append(w)
     return out
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13: the 13 bases decide every n below it
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _MR_LIMIT (Sorenson and Webster,
+    Math. Comp. 86, 2017)."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _factor(n: int) -> dict:
+    """{prime: exponent} of n >= 1, primes increasing: trial division below
+    2^12, Miller-Rabin on the cofactor, sympy only for a composite cofactor
+    with no factor below 2^12."""
+    out, d = {}, 2
+    while d * d <= n and d < 1 << 12:
+        while n % d == 0:
+            out[d], n = out.get(d, 0) + 1, n // d
+        d += 1 if d == 2 else 2
+    if d * d <= n and not (n < _MR_LIMIT and _is_prime(n)):
+        import sympy  # general factoring only: sympy stays off the import path
+        return {**out, **{int(p): e for p, e in sorted(sympy.factorint(n).items())}}
+    return {**out, n: 1} if n > 1 else out
 
 
 def _interval_continue(A, B, p0, q0, start, n_target, env, dps):
@@ -592,24 +633,14 @@ def torsion_points(curve: EllipticCurveQ) -> List[ECPoint]:
     """
     icurve, u = curve.integral_model()
     A, B = int(icurve.a), int(icurve.b)
-    found = {ECPoint.identity()}
-    for y in [0] + _square_divisors(abs(4 * A**3 + 27 * B**2)):
+    found, ys = {ECPoint.identity()}, [1]  # ys: the y > 0 with y^2 | 4A^3 + 27B^2
+    for ell, e in _factor(abs(4 * A**3 + 27 * B**2)).items():
+        ys = [y * ell**k for y in ys for k in range(e // 2 + 1)]
+    for y in [0] + ys:
         for x in _integer_cubic_roots(A, B - y * y):
             if _doubling_orbit_torsion(A, B, x):
                 found.update(ECPoint(Fraction(x, u**2), Fraction(s, u**3)) for s in (y, -y))
     return sorted(found, key=lambda t: (0,) if t.is_identity else (1, t.x, t.y))
-
-
-def _square_divisors(n: int) -> List[int]:
-    """Positive y with y^2 | n."""
-    if n == 0:
-        return []
-    fac = sympy.factorint(n)
-    out = [1]
-    for ell, e in fac.items():
-        ell = int(ell)
-        out = [d * ell**k for d in out for k in range(e // 2 + 1)]
-    return sorted(out)
 
 
 def _integer_cubic_roots(A: int, c: int) -> List[int]:

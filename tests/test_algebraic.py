@@ -334,6 +334,38 @@ class TestRadical:
     def test_rational_radical(self):
         a = radical(Fraction(8, 27), 3)
         assert a.is_rational and a.as_rational() == Fraction(2, 3)
+        assert radical(Fraction(-8, 27), 3).as_rational() == Fraction(-2, 3)
+
+    def test_capelli_matches_factor_list(self):
+        rng = random.Random(12)
+        cases = [(Fraction(4), 4), (Fraction(64), 12), (Fraction(1), 6), (Fraction(-1), 15)]
+        for _ in range(30):
+            base = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 30))
+            r, m = base ** rng.choice([1, 2, 3, 4, 6, 12]), rng.randint(1, 60)
+            cases.append((r, m + (r < 0 and m % 2 == 0)))
+        for _ in range(4):
+            big = Fraction(rng.getrandbits(110) | 1, rng.getrandbits(20) | 1)
+            cases.append((big, rng.randint(2, 12)))
+            cases.append((Fraction(rng.getrandbits(40) | 1, 3) ** 6, rng.choice([4, 6, 12, 18])))
+        for r, m in cases:
+            a = radical(r, m)
+            want = factor_list_radical(r, m)
+            assert (a.minpoly, a.index) == want, (r, m)
+
+
+def factor_list_radical(r, m):
+    """The irreducible factor of den x^m - num owning the real m-th root,
+    chosen by sympy's factor_list, and that root's index: the general path
+    Capelli's theorem replaces in radical."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(r.denominator * x**m - r.numerator, x).factor_list()
+    with mp.workdps(60):
+        t = mp.sign(r) * mp.root(abs(mpf(r.numerator)) / r.denominator, m)
+        f = min((f for f, _ in factors),
+                key=lambda f: abs(mp.polyval([int(c) for c in f.all_coeffs()], t)))
+    poly = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs()))).primitive()
+    rs = roots(poly, 1e-12, trusted_squarefree=True)
+    return poly, next(i for i, z in enumerate(rs) if z.is_real and (z.re > 0) == (r > 0))
 
 
 # ---------------------------------------------------------------------------

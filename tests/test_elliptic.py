@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import smallpoints.elliptic as el
 from smallpoints.elliptic import (
@@ -294,6 +295,13 @@ class TestIntegralModel:
         assert icurve.b == curve.b * u**6
         assert icurve.a.denominator == 1 and icurve.b.denominator == 1
 
+    def test_non_integral(self):
+        icurve, u = EllipticCurveQ(Fraction(1, 4), Fraction(1, 8)).integral_model()
+        assert u == 2 and (icurve.a, icurve.b) == (4, 8)
+
+    def test_integral_returns_self(self):
+        assert E_MINUS2.integral_model()[0] is E_MINUS2
+
 
 # ---------------------------------------------------------------------------
 # exact shortcuts against the general paths they bypass
@@ -489,6 +497,58 @@ class TestPrefixGcd:
         assert len(env.witnesses) == 3
         for w in env.witnesses:
             assert w > 1 << 61 and env.R1 % w != 0
+
+
+def sympy_clear_bezout(f, g):
+    """Bezout data from sympy's gcdex over QQ: the reference for the
+    extended Euclid in _clear_bezout (coefficient lists, constant first)."""
+    y = sympy.Symbol("y")
+    s, t, h = sympy.Poly(f[::-1], y, domain="QQ").gcdex(sympy.Poly(g[::-1], y, domain="QQ"))
+    assert h.degree() == 0
+    s, t = (sympy.Poly(p.as_expr() / h.LC(), y, domain="QQ") for p in (s, t))
+    L = int(sympy.ilcm(*[sympy.Rational(x).q for x in s.all_coeffs() + t.all_coeffs()]))
+    return [int(x * L) for x in s.all_coeffs()[::-1]], [int(x * L) for x in t.all_coeffs()[::-1]], L
+
+
+class TestIntegerArithmetic:
+    def test_clear_bezout_matches_gcdex(self):
+        rng = random.Random(8)
+        pairs = [(0, -2), (0, 17), (-1, 1), (0, 3), (-7, 10), (-1, 0), (3, 0)]
+        pairs += [(rng.randint(-400, 400), rng.randint(-400, 400)) for _ in range(40)]
+        for A, B in pairs:
+            if 4 * A**3 + 27 * B**2 == 0:
+                continue
+            for f, g in (
+                ([A * A, -8 * B, -2 * A, 0, 1], [4 * B, 4 * A, 0, 4]),
+                ([1, 0, -2 * A, -8 * B, A * A], [0, 4, 0, 4 * A, 4 * B]),
+            ):
+                assert el._clear_bezout(f, g) == sympy_clear_bezout(f, g), (A, B)
+
+    def test_clear_bezout_rejects_common_factor(self):
+        with pytest.raises(SingularCurveError):
+            el._clear_bezout([-1, 0, 1], [1, 1])
+
+    def test_factor_matches_factorint(self):
+        rng = random.Random(9)
+        p40, q40 = sympy.nextprime(1 << 39), sympy.prevprime(1 << 40)
+        ns = [1, 2, 144, 10404, 5312, 65537, 65521**2, (1 << 61) - 1, p40 * q40,
+              2**5 * 3 * p40 * q40, p40**2, 3317044064679887385961981 * 7]
+        ns += [rng.randint(1, 1 << rng.randint(2, 64)) for _ in range(60)]
+        for n in ns:
+            want = {int(p): e for p, e in sorted(sympy.factorint(n).items())}
+            got = el._factor(n)
+            assert got == want and list(got) == sorted(got), n
+
+    def test_witness_primes_match_nextprime(self):
+        chain, w = [], 1 << 61
+        for _ in range(6):
+            w = int(sympy.nextprime(w))
+            chain.append(w)
+        assert el._witness_primes(144) == chain[:3]
+        assert el._witness_primes(chain[0] * chain[2] * 6, count=4) == [chain[1]] + chain[3:6]
+        # strong pseudoprimes to many of the bases, and Carmichael numbers
+        for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041):
+            assert el._is_prime(n) == sympy.isprime(n) == False  # noqa: E712
 
 
 def test_integer_cubic_roots_match_divisor_enumeration():
