@@ -60,7 +60,16 @@ __all__ = [
 ]
 
 
-class AlgebraicError(ValueError):
+class _ContextError(ValueError):
+    """An error whose keyword arguments, the values that reproduce it, are
+    kept as attributes and appended to the message as "; name=value"."""
+
+    def __init__(self, reason: str = "", **context):
+        self.__dict__.update(context)
+        super().__init__(reason + "".join(f"; {k}={v}" for k, v in context.items()))
+
+
+class AlgebraicError(_ContextError):
     """Invalid algebraic-number construction or computation."""
 
 
@@ -276,7 +285,10 @@ class CertifiedRoot:
     """Disk (re + i*im, radius) containing exactly one root.
 
     Certified-real roots carry im == 0 exactly; `exact` is set for roots of
-    linear factors, where the value is a known rational.
+    linear factors, where the value is a known rational. The root cache
+    holds root tables, not these objects: roots() and
+    AlgebraicNumber.enclosure() build them on demand, with equal values on
+    every call.
     """
 
     re: mpf
@@ -292,22 +304,74 @@ class CertifiedRoot:
 
     def abs_interval(self):
         """(lo, hi) bounds on the modulus of the enclosed root."""
-        with mp.workdps(30):
-            m = mp.sqrt(self.re * self.re + self.im * self.im)
-            pad = abs(m) * mpf(2) ** (-90) + mpf(2) ** (-300)
-            lo = m - self.radius - pad
-            hi = m + self.radius + pad
-        return (max(mpf(0), lo), hi)
+        return _abs_interval(self.re, self.im, self.radius)
 
     def angle_unit(self) -> float:
         """Angle in [0, 1) turns; exactly 0 or 1/2 for certified-real roots."""
-        if self.is_real:
-            return 0.0 if self.re >= 0 else 0.5
-        with mp.workdps(30):
-            a = mp.atan2(self.im, self.re) / (2 * mp.pi)
-            if a < 0:
-                a += 1
-        return float(a)
+        return _angle_unit(self.re, self.im, self.is_real)
+
+
+def _abs_interval(re, im, radius):
+    """(lo, hi) bounds on the modulus of the root in the disk (re + i im, radius)."""
+    with mp.workdps(30):
+        m = mp.sqrt(re * re + im * im)
+        pad = abs(m) * mpf(2) ** (-90) + mpf(2) ** (-300)
+        lo = m - radius - pad
+        hi = m + radius + pad
+    return (max(mpf(0), lo), hi)
+
+
+def _angle_unit(re, im, is_real) -> float:
+    """Angle of re + i im in [0, 1) turns; exactly 0 or 1/2 when is_real."""
+    if is_real:
+        return 0.0 if re >= 0 else 0.5
+    with mp.workdps(30):
+        a = mp.atan2(im, re) / (2 * mp.pi)
+        if a < 0:
+            a += 1
+    return float(a)
+
+
+class _RootTable(NamedTuple):
+    """Certified roots of one polynomial in canonical order: disk i has
+    centre (re[i] + i im[i]) 2^k and radius rad[i] 2^k.
+
+    The columns are float64 after a float64 certification, the scale kept
+    apart so that no ldexp overflows or rounds, else mpf objects. real flags
+    the certified-real roots (im exactly 0), lex is as in _geometry; mult
+    and exact, unless None, hold each root's multiplicity and exact value."""
+
+    re: np.ndarray
+    im: np.ndarray
+    rad: np.ndarray
+    k: int
+    real: np.ndarray
+    lex: bool
+    mult: Optional[tuple] = None
+    exact: Optional[tuple] = None
+
+
+def _mp_rows(t: _RootTable, rows=slice(None)):
+    """(re, im, radius, is_real) of the given rows of t, as exact mpf in x
+    (mp.ldexp converts a float without rounding)."""
+    cols = ([mp.ldexp(v, t.k) for v in c[rows].tolist()] for c in (t.re, t.im, t.rad))
+    return zip(*cols, t.real[rows].tolist())
+
+
+def _roots_of(t: _RootTable, rows=slice(None)) -> list:
+    """CertifiedRoot objects for the rows (a slice) of t."""
+    return [
+        CertifiedRoot(*row, 1 if t.mult is None else t.mult[i],
+                      None if t.exact is None else t.exact[i])
+        for i, row in zip(range(len(t.re))[rows], _mp_rows(t, rows))
+    ]
+
+
+def _table_of(rs, lex: bool) -> _RootTable:
+    """The mpf table (k = 0) holding the CertifiedRoot list rs."""
+    cols = (np.array(c, dtype=object) for c in zip(*((r.re, r.im, r.radius) for r in rs)))
+    return _RootTable(*cols, 0, np.array([r.is_real for r in rs]), lex,
+                      tuple(r.multiplicity for r in rs), tuple(r.exact for r in rs))
 
 
 _MAX_DPS = 2560  # last rung of the mpmath ladder 40, 80, ..., 2560 digits
@@ -445,32 +509,35 @@ def _geometry(z, rad):
 
 
 def _certify_scaled(q, z, u, eps_y, k):
-    """(z, rad, done): one Newton-and-bound pass at unit roundoff u, with
-    done = (roots, lex) once every radius is at most eps_y and the disks
-    are separated, else None.
+    """(z, rad, table): one Newton-and-bound pass at unit roundoff u, with
+    the root table once every radius is at most eps_y and the disks are
+    separated, else None.
 
-    q, z and eps_y are in y = x / 2^k; the roots are returned in x, exactly
-    scaled, at the current mpmath precision."""
+    q, z and eps_y are in y = x / 2^k, and so are the table's columns:
+    float64 for complex128 centres, mpf at the current precision for mpc
+    ones. Certified-real roots are kept exactly real, their radius grown
+    by |im| and rounded up."""
     z, rad = _newton_bound(q, z, u)
     geom = _geometry(z, rad) if np.all(rad <= eps_y) else None
     if geom is None:
         return z, rad, None
     real, order, lex = geom
-    out = []
-    for i in order:
-        x, y, r = mpf(z[i].real), mpf(z[i].imag), mpf(rad[i] * (1 + 1e-12))
-        if real[i]:
-            # keep the representation exactly real
-            r, y = r + abs(y), mpf(0)
-        if k:
-            x, y, r = mp.ldexp(x, k), mp.ldexp(y, k), mp.ldexp(r, k)
-        out.append(CertifiedRoot(x, y, r, bool(real[i])))
-    return z, rad, (out, lex)
+    real, zo, r = real[order], z[order], rad[order] * (1 + 1e-12)
+    if zo.dtype == object:
+        re, im = (np.array(c, dtype=object) for c in zip(*((w.real, w.imag) for w in zo)))
+        up = [mp.fadd(a, abs(y), rounding="u") for a, y in zip(r, im)]
+    else:
+        re, im = zo.real.copy(), zo.imag.copy()
+        s = r + np.abs(im)
+        # TwoSum: s + err is r + |im| exactly, so err > 0 means s fell short
+        bp = s - r
+        up = np.where((r - (s - bp)) + (np.abs(im) - bp) > 0, np.nextafter(s, np.inf), s)
+    return z, rad, _RootTable(re, np.where(real, 0, im), np.where(real, up, r), k, real, lex)
 
 
-def _roots_squarefree(poly: IntPolynomial, eps: float):
-    """(roots, lex): certified, canonically ordered enclosures of a
-    squarefree polynomial, lex as in _geometry.
+def _roots_squarefree(poly: IntPolynomial, eps: float) -> _RootTable:
+    """The certified, canonically ordered root table of a squarefree
+    polynomial.
 
     The work is done on q(y) = 2^-j p(2^k y) (see _root_scale), whose
     roots and coefficients lie in float64 range. Seeds are the closed-form
@@ -484,7 +551,7 @@ def _roots_squarefree(poly: IntPolynomial, eps: float):
         with mp.workdps(40):
             re = mpf(val.numerator) / mpf(val.denominator)
             rad = abs(re) * mpf(2) ** (-100) + mpf(2) ** (-200)
-        return [CertifiedRoot(re, mpf(0), rad, True, exact=val)], True
+        return _table_of([CertifiedRoot(re, mpf(0), rad, True, exact=val)], True)
 
     k, j = _root_scale(poly.coeffs)
     eps_y = mp.ldexp(mpf(eps), -k)
@@ -519,7 +586,8 @@ def _eps_bucket(eps: float) -> float:
 
 
 def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
-    """(roots, lex): certified roots in canonical order, lex as in _geometry."""
+    """The root table of coeffs: certified roots in canonical order, each
+    repeated by its multiplicity."""
     poly = IntPolynomial(coeffs)
     if trusted_squarefree:
         pieces = [(poly, 1)]
@@ -535,31 +603,34 @@ def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
             raise AlgebraicError("constant polynomial has no roots")
     if len(pieces) == 1:
         piece, mult = pieces[0]
-        rs, lex = _roots_squarefree(piece, eps)
-        if mult > 1:
-            rs = [replace(r, multiplicity=mult) for r in rs]
+        t = _roots_squarefree(piece, eps)
+        if mult == 1:
+            return t
+        rows = np.repeat(np.arange(len(t.re)), mult).tolist()
+        exact = None if t.exact is None else tuple(t.exact[i] for i in rows)
+        return t._replace(re=t.re[rows], im=t.im[rows], rad=t.rad[rows], real=t.real[rows],
+                          mult=(mult,) * len(rows), exact=exact)
+    # cross-factor disks are disjoint mathematically; refine until visibly so
+    for tries in range(9):
+        finer = eps / 16**tries
+        rs = [
+            replace(r, multiplicity=mult)
+            for piece, mult in pieces
+            for r in _roots_of(_roots_squarefree(piece, finer))
+        ]
+        # centres at a precision that holds every one exactly
+        with mp.workprec(max([mp.prec] + [x.bc for r in rs for x in (r.re, r.im)])):
+            geom = _geometry(
+                np.array([r.center for r in rs], dtype=object),
+                np.array([r.radius for r in rs], dtype=object),
+            )
+        if geom is not None:
+            break
     else:
-        # cross-factor disks are disjoint mathematically; refine until visibly so
-        for tries in range(9):
-            finer = eps / 16**tries
-            rs = [
-                replace(r, multiplicity=mult)
-                for piece, mult in pieces
-                for r in _roots_squarefree(piece, finer)[0]
-            ]
-            # centres at a precision that holds every one exactly
-            with mp.workprec(max([mp.prec] + [x.bc for r in rs for x in (r.re, r.im)])):
-                geom = _geometry(
-                    np.array([r.center for r in rs], dtype=object),
-                    np.array([r.radius for r in rs], dtype=object),
-                )
-            if geom is not None:
-                break
-        else:
-            raise RootRefinementError(poly, finer, max(float(r.radius) for r in rs), mp.prec)
-        _, order, lex = geom
-        rs = [rs[i] for i in order]
-    return tuple(r for r in rs for _ in range(r.multiplicity)), lex
+        raise RootRefinementError(poly, finer, max(float(r.radius) for r in rs), mp.prec)
+    _, order, lex = geom
+    rs = [rs[i] for i in order]
+    return _table_of([r for r in rs for _ in range(r.multiplicity)], lex)
 
 
 class _CacheInfo(NamedTuple):
@@ -572,7 +643,8 @@ class _CacheInfo(NamedTuple):
 class _FinestRootCache:
     """_certify memoised with one entry per (coefficients, trusted flag).
 
-    The entry keeps the finest certification made so far: it serves every
+    The entry keeps the root table of the finest certification made so
+    far (float64 columns unless an mpmath rung was needed): it serves every
     request at its eps or coarser, and a finer request replaces it, so a
     stricter request never gets a looser enclosure. Least recently used
     entries are evicted past maxsize."""
@@ -608,6 +680,11 @@ class _FinestRootCache:
 _ordered_roots = _FinestRootCache(maxsize=512)
 
 
+def _root_table(p: IntPolynomial, eps: float, trusted_squarefree: bool) -> _RootTable:
+    """The cached root table of p, certified to radius eps or finer."""
+    return _ordered_roots(p.coeffs, _eps_bucket(eps), trusted_squarefree)
+
+
 def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False):
     """Certified enclosures of all roots of p, with multiplicity.
 
@@ -624,16 +701,17 @@ def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False
     float64 range; every seed is certified by the same d*|p/p'| disk bound,
     in float64 and, where that cannot reach eps or separate the disks, in
     mpmath at up to 2560 digits. The finest certification of each
-    polynomial is cached and serves coarser requests. Raises
-    RootRefinementError (with the polynomial, eps, achieved radius and last
-    precision) if certification does not converge.
+    polynomial is cached and serves coarser requests; the cache holds it as
+    a root table (float64 centres and radii in y = x / 2^k, or mpf after an
+    mpmath rung) and the CertifiedRoot list is built from it on each call.
+    Raises RootRefinementError (with the polynomial, eps, achieved radius
+    and last precision) if certification does not converge.
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
     if p.degree < 1:
         raise AlgebraicError("degree >= 1 required")
-    rs, _ = _ordered_roots(p.coeffs, _eps_bucket(eps), trusted_squarefree)
-    return list(rs)
+    return _roots_of(_root_table(p, eps, trusted_squarefree))
 
 
 # ---------------------------------------------------------------------------
@@ -673,18 +751,18 @@ def mahler_log(
         return MahlerLog(float(v), 1e-15)
     eps = max(min(tol / (4 * p.degree), 1e-10), 1e-290)
     for _ in range(60):
-        rs = roots(p, eps, trusted_squarefree)
+        t = _root_table(p, eps, trusted_squarefree)
         with mp.workdps(60):
             lo = _log_int(abs(p.leading))
             hi = lo + abs(lo) * mpf(2) ** (-120)
-            for r in rs:
-                alo, ahi = r.abs_interval()
-                if r.exact is not None:
-                    q = abs(r.exact)
+            for i, (re, im, rad, _) in enumerate(_mp_rows(t)):
+                alo, ahi = _abs_interval(re, im, rad)
+                if t.exact is not None and t.exact[i] is not None:
+                    q = abs(t.exact[i])
                     if q > 1:
-                        t = mp.log(mpf(q.numerator) / q.denominator)
-                        lo += t * (1 - mpf(2) ** (-120))
-                        hi += t * (1 + mpf(2) ** (-120))
+                        lq = mp.log(mpf(q.numerator) / q.denominator)
+                        lo += lq * (1 - mpf(2) ** (-120))
+                        hi += lq * (1 + mpf(2) ** (-120))
                     continue
                 if ahi > 1:
                     hi += mp.log(ahi)
@@ -764,7 +842,8 @@ class AlgebraicNumber:
         return Fraction(-self.minpoly.constant, self.minpoly.leading)
 
     def enclosure(self, eps: float = 1e-12) -> CertifiedRoot:
-        return roots(self.minpoly, eps, trusted_squarefree=True)[self.index]
+        i = self.index  # a one-row slice: no fancy indexing on the hot path
+        return _roots_of(_root_table(self.minpoly, eps, True), slice(i, i + 1))[0]
 
     def approx(self, eps: float = 1e-12) -> complex:
         r = self.enclosure(eps)
@@ -777,10 +856,16 @@ class AlgebraicNumber:
 
 
 def _index_near(poly: IntPolynomial, approx: complex) -> int:
-    # coarse enclosures are enough to pick a root; disks are disjoint
-    rs = roots(poly, 1e-9, trusted_squarefree=True)
-    dists = [abs(complex(float(r.re), float(r.im)) - approx) for r in rs]
-    return int(min(range(len(rs)), key=lambda i: (dists[i], i)))
+    # coarse enclosures are enough to pick a root; disks are disjoint. The
+    # distances are taken in y = x / 2^k: scaling by 2^k is exact, so they
+    # order the roots as distances in x would
+    t = _root_table(poly, 1e-9, True)
+    try:
+        a = complex(math.ldexp(approx.real, -t.k), math.ldexp(approx.imag, -t.k))
+    except OverflowError:
+        return 0  # approx dwarfs every root, so all distances in x round equal
+    dists = [abs(complex(x, y) - a) for x, y in zip(t.re.tolist(), t.im.tolist())]
+    return int(min(range(len(dists)), key=lambda i: (dists[i], i)))
 
 
 def conjugates(a: AlgebraicNumber):
@@ -830,11 +915,10 @@ def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
     # same degree and the same field: irreducibility is inherited.
     # 1e-9 is the coarsest eps the package asks for, so any cached
     # certification of a's polynomial serves it
-    _, lex = _ordered_roots(a.minpoly.coeffs, _eps_bucket(1e-9), True)
-    if lex:
+    if _root_table(a.minpoly, 1e-9, True).lex:
         return AlgebraicNumber(poly, a.index if r > 0 else d - 1 - a.index)
-    eps = 1e-12
-    for _ in range(30):
+    for tries in range(30):
+        eps = 1e-12 / 256**tries
         src = a.enclosure(eps)
         with mp.workdps(60):
             cre = src.re * s / t
@@ -848,8 +932,7 @@ def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
                     cands.append(i)
         if len(cands) == 1:
             return AlgebraicNumber(poly, cands[0])
-        eps /= 256
-    raise AlgebraicError("could not match the scaled root")
+    raise AlgebraicError("could not match the scaled root", poly=poly, r=r, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -905,11 +988,11 @@ def radical(r: Rational, m: int) -> AlgebraicNumber:
         else:
             c, d = root, d // p
     poly = IntPolynomial((-c.numerator,) + (0,) * (d - 1) + (c.denominator,))
-    rs = roots(poly, 1e-12, trusted_squarefree=True)
-    for i, rt in enumerate(rs):
-        if rt.is_real and (rt.re > 0) == (r > 0):
+    t = _root_table(poly, 1e-12, True)
+    for i in np.flatnonzero(t.real).tolist():
+        if (t.re[i] > 0) == (r > 0):
             return AlgebraicNumber(poly, i)
-    raise AlgebraicError("no certified real root found for the radical")
+    raise AlgebraicError("no certified real root found for the radical", r=r, m=m, poly=poly)
 
 
 def _exact_root(c: Fraction, p: int) -> Optional[Fraction]:

@@ -41,6 +41,8 @@ from typing import List, Optional, Tuple
 
 from mpmath import iv, mp, mpf
 
+from .algebraic import _ContextError
+
 __all__ = [
     "EllipticError",
     "SingularCurveError",
@@ -75,14 +77,10 @@ class OffCurveError(EllipticError):
     """Point does not satisfy the curve equation."""
 
 
-class CanonicalHeightBudgetError(EllipticError):
+class CanonicalHeightBudgetError(EllipticError, _ContextError):
     """Certified height evaluation exceeded its precision/size budget; the
     attributes A, B, p0_bits, q0_bits, tol, n_target, dps, prefix_bits
     and the message reproduce the failing call."""
-
-    def __init__(self, reason: str, **context):
-        self.__dict__.update(context)
-        super().__init__(reason + "".join(f"; {k}={v}" for k, v in context.items()))
 
 
 @dataclass(frozen=True)
@@ -331,9 +329,12 @@ _PREFIX_BITS_MAX = 1 << 21
 
 
 def _dup_forms(A: int, B: int, p: int, q: int) -> Tuple[int, int]:
-    p2, q2 = p * p, q * q
-    F = p2 * p2 - 2 * A * p2 * q2 - 8 * B * p * q * q2 + A * A * q2 * q2
-    G = 4 * q * (p * p2 + A * p * q2 + B * q * q2)
+    """F = p^4 - 2A p^2 q^2 - 8B p q^3 + A^2 q^4 and G = 4q(p^3 + A p q^2 + B q^3),
+    the numerator and denominator of x(2P) for x(P) = p/q, in 7 big products."""
+    p2, q2, pq = p * p, q * q, p * q
+    q4, pq3 = q2 * q2, pq * q2
+    F = p2 * (p2 - 2 * A * q2) - 8 * B * pq3 + A * A * q4
+    G = 4 * (pq * (p2 + A * q2) + B * q4)
     return F, G
 
 

@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .algebraic import AlgebraicNumber, roots, weil_height
+from .algebraic import (
+    AlgebraicNumber, _abs_interval, _angle_unit, _ContextError, _mp_rows, _root_table, weil_height,
+)
 
 __all__ = [
     "EquidistError",
@@ -37,7 +39,7 @@ __all__ = [
 ]
 
 
-class EquidistError(ValueError):
+class EquidistError(_ContextError):
     """Invalid equidistribution computation."""
 
 
@@ -76,15 +78,12 @@ class EmpiricalAngleMeasure:
 def _measure_at(minpoly, eps: float):
     """One certification pass: per-root (angle, angle_err, log r, err)."""
     entries = []
-    for root in roots(minpoly, eps=eps, trusted_squarefree=True):
-        lo, hi = root.abs_interval()
+    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps, True)):
+        lo, hi = _abs_interval(re, im, rad)
         if not lo > 0:
             return None  # enclosure touches 0; angle undefined there
-        theta = root.angle_unit()
-        if root.is_real:
-            a_err = 0.0
-        else:
-            a_err = float(root.radius) / lo / (2 * math.pi)
+        theta = _angle_unit(re, im, real)
+        a_err = 0.0 if real else float(rad) / lo / (2 * math.pi)
         llo, lhi = math.log(lo), math.log(hi)
         entries.append((theta, a_err, (llo + lhi) / 2, (lhi - llo) / 2))
     entries.sort(key=lambda t: (t[0], t[2]))
@@ -110,15 +109,15 @@ def orbit_measure(alpha: AlgebraicNumber, eps: float = 1e-9) -> EmpiricalAngleMe
         raise EquidistError("zero has no angle")
     if not eps > 0:
         raise EquidistError("eps must be positive")
-    entries = None
-    cur = eps
-    for _ in range(4):
+    for tries in range(4):
+        cur = eps / 64.0**tries
         entries = _measure_at(alpha.minpoly, cur)
         if entries is not None and _order_certified(entries):
             break
-        cur /= 64.0
     if entries is None:
-        raise EquidistError("could not separate the conjugates from zero")
+        raise EquidistError(
+            "could not separate the conjugates from zero", minpoly=alpha.minpoly, eps=cur
+        )
     return EmpiricalAngleMeasure(
         angles=tuple(t for t, _, _, _ in entries),
         radii=tuple(math.exp(lr) for _, _, lr, _ in entries),

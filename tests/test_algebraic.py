@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +99,17 @@ class TestMahler:
     def test_linear(self):
         m = mahler_log(IntPolynomial((-3, 7)), 1e-12)
         assert abs(m.value - math.log(7)) <= 1e-14
+
+    def test_repeated_and_rational_roots(self):
+        # exact rational roots of modulus > 1 in any row, repeated or mixed
+        # with irrational ones: (x+2)^2, (x+3)^2 (x^2+1), (2x-3)(x+5)(x^2-2)
+        for coeffs, want in (
+            ((4, 4, 1), 2 * math.log(2)),
+            ((9, 6, 10, 6, 1), 2 * math.log(3)),
+            ((30, -14, -19, 7, 2), math.log(30)),
+        ):
+            m = mahler_log(IntPolynomial(coeffs), 1e-12)
+            assert abs(m.value - want) <= 1e-12, coeffs
 
     def test_additivity(self):
         rng = random.Random(1234)
@@ -429,8 +443,9 @@ class TestClosedFormSeeds:
     def check(self, coeffs, monkeypatch):
         assert algebraic._closed_form_seeds(coeffs) is not None
         want = true_roots_lex(coeffs)
-        for rs, lex in self.both_paths(coeffs, monkeypatch):
-            assert lex and len(rs) == len(want)
+        for table in self.both_paths(coeffs, monkeypatch):
+            rs = algebraic._roots_of(table)
+            assert table.lex and len(rs) == len(want)
             for i, (r, z) in enumerate(zip(rs, want)):
                 assert contains(r, z), (coeffs, i)
 
@@ -657,6 +672,199 @@ class TestRootRefinementError:
             assert exc.prec == mp.prec
         for text in (str(LEHMER), f"{exc.eps:.3e}", f"{exc.prec}-bit"):
             assert text in str(exc)
+
+
+def parent_construction(z, rad, k, geometry):
+    """The per-root construction of _certify_scaled before root tables: one
+    CertifiedRoot per disk, built at the current mpmath precision from the
+    Newton pass's centres and radii and its geometry; returned as an mpf
+    table so that the rest of the pipeline is shared."""
+    real, order, lex = geometry
+    out = []
+    for i in order:
+        x, y, r = mpf(z[i].real), mpf(z[i].imag), mpf(rad[i] * (1 + 1e-12))
+        if real[i]:
+            r, y = r + abs(y), mpf(0)
+        if k:
+            x, y, r = mp.ldexp(x, k), mp.ldexp(y, k), mp.ldexp(r, k)
+        out.append(algebraic.CertifiedRoot(x, y, r, bool(real[i])))
+    return algebraic._table_of(out, lex)
+
+
+def table_cases():
+    """(polynomial, eps values, trusted flag, irreducible) for the table
+    tests: the certifier corpus, a sample of binomials of degree 2-200,
+    Phi_n for n <= 61 and Lehmer. The mpmath rungs that 1e-30 (and, for
+    Phi_n, 1e-12) need run on a sample: binomials to degree 64 and Phi_n
+    for n <= 30 and five larger n, since all of them take 10 s."""
+    every = (1e-9, 1e-12, 1e-30)
+    cases = []
+    for factors in certifier_corpus():
+        p = IntPolynomial((1,))
+        for base, r in factors:
+            p = p * scaled_poly(base, r)
+        cases.append((p, every, False, len(factors) == 1))
+    rng = random.Random(5)
+    for d in (2, 3, 4, 7, 12, 25, 37, 64, 101, 150, 199, 200):
+        for sign in (1, -1):
+            p = IntPolynomial(binomial(sign * rng.randint(1, 50), d, rng.randint(1, 50)))
+            cases.append((p, every if d <= 64 else every[:2], True, False))
+    cases += [
+        (IntPolynomial(algebraic._cyclotomic(n)),
+         every if n <= 30 or n in (37, 45, 53, 60, 61) else every[:1], True, True)
+        for n in range(1, 62)
+    ]
+    return cases + [(LEHMER, every, True, True)]
+
+
+class TestRootTables:
+    def test_roots_match_per_root_construction(self, monkeypatch):
+        """roots() and enclosure() against the CertifiedRoots the parent
+        construction builds from the same Newton passes."""
+        certify_scaled, geometry = algebraic._certify_scaled, algebraic._geometry
+        passes, geometries = [], []
+
+        def recording_geometry(z, rad):
+            geometries.append(geometry(z, rad))
+            return geometries[-1]
+
+        def recording(q, z, u, eps_y, k):
+            z, rad, table = certify_scaled(q, z, u, eps_y, k)
+            parent = None if table is None else parent_construction(z, rad, k, geometries[-1])
+            passes.append((z, rad, parent))
+            return z, rad, table
+
+        float64 = mpmath = rounded = 0
+        for p, eps_list, trusted, irreducible in table_cases():
+            for eps in eps_list:
+                algebraic._ordered_roots.cache_clear()
+                with monkeypatch.context() as m:
+                    m.setattr(algebraic, "_certify_scaled", recording)
+                    m.setattr(algebraic, "_geometry", recording_geometry)
+                    got = roots(p, eps, trusted)
+                table = algebraic._ordered_roots(p.coeffs, algebraic._eps_bucket(eps), trusted)
+                float64 += table.re.dtype == float
+                mpmath += table.re.dtype == object
+                # cache hits build equal roots, whole or one index at a time
+                assert roots(p, eps, trusted) == got
+                if irreducible:
+                    for i, g in enumerate(got):
+                        assert AlgebraicNumber(p, i).enclosure(eps) == g, (p, eps, i)
+                        # the nearest-root pick reads the scaled table too
+                        assert algebraic._index_near(p, complex(g.center)) == i
+                # replay the same passes with the parent's construction
+                algebraic._ordered_roots.cache_clear()
+                with monkeypatch.context() as m:
+                    m.setattr(algebraic, "_certify_scaled", lambda *args: passes.pop(0))
+                    want = roots(p, eps, trusted)
+                assert passes == []
+                assert len(got) == len(want) == p.degree
+                for g, w in zip(got, want):
+                    if g != w:
+                        # r + |im| of a real root is rounded up now, where
+                        # it was rounded to nearest: at most one ulp above
+                        assert g.is_real and replace(g, radius=w.radius) == w, (p, eps)
+                        assert w.radius < g.radius <= w.radius * (1 + mpf(2) ** -52)
+                        rounded += 1
+        # both column types are exercised, and a few real radii round up
+        assert float64 > 200 and mpmath > 50 and 0 < rounded < 60
+        algebraic._ordered_roots.cache_clear()
+
+    def test_index_near_far_from_the_roots(self):
+        # the roots +-1e-100 i sit near 2^-332: an approx of 1e300 overflows
+        # the comparison in y, where every distance in x rounds equal
+        p = IntPolynomial((1, 0, 10**200))
+        rs = roots(p, 1e-9, True)
+        for approx in (1e300, -1e300j, 1e-100j, -1e-100j, 1e-100 - 1e-100j):
+            want = min(range(2), key=lambda i: (abs(complex(rs[i].center) - approx), i))
+            assert algebraic._index_near(p, complex(approx)) == want, approx
+
+    def test_real_radius_rounds_up(self, monkeypatch):
+        # real roots whose centres sit off the axis: the radius becomes
+        # r + |im| rounded up, in float64 and in mpf, so each disk holds the
+        # one it replaces; some of these sums round down to nearest
+        rng = random.Random(8)
+        below = 0
+        for _ in range(200):
+            r = rng.uniform(1e-14, 1e-12)
+            ims = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, -15) for _ in range(2)]
+            z = np.array([-0.5 + ims[0] * 1j, 0.5 + ims[1] * 1j])
+            rad = np.array([r, r])
+            mzs = np.array([mpc(w) for w in z], dtype=object)
+            mrad = np.array([mpf(r)] * 2, dtype=object)
+            for zs, rads, ulp in ((z, rad, 2.0**-52), (mzs, mrad, mpf(2) ** (1 - 80))):
+                monkeypatch.setattr(algebraic, "_newton_bound", lambda q, z, u: (zs, rads))
+                with mp.workprec(80):
+                    t = algebraic._certify_scaled(None, zs, None, 1e-9, 0)[2]
+                    assert list(t.real) == [True, True] and list(t.im) == [0, 0]
+                    for i in range(2):
+                        r = rads[i] * (1 + 1e-12)
+                        exact = mp.fadd(r, abs(mpf(ims[i])), exact=True)
+                        assert 0 <= mp.fsub(t.rad[i], exact, exact=True) <= exact * ulp
+                        below += rads is rad and mpf(r + abs(ims[i])) < exact
+        assert below > 10
+
+    def test_degree_200_entry_is_small(self):
+        algebraic._ordered_roots.cache_clear()
+        a = radical(Fraction(2, 3), 200)
+        assert a.degree == 200
+        tracemalloc.start()
+        try:
+            algebraic._ordered_roots.cache_clear()
+            gc.collect()
+            before = tracemalloc.take_snapshot()
+            table = algebraic._ordered_roots(a.minpoly.coeffs, algebraic._eps_bucket(1e-12), True)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert table.re.dtype == float
+        size = sum(d.size_diff for d in after.compare_to(before, "filename"))
+        assert 0 < size <= 8192, size
+        algebraic._ordered_roots.cache_clear()
+
+
+class TestErrorContext:
+    def test_radical_without_real_root(self, monkeypatch):
+        real = algebraic._root_table
+
+        def no_real(p, eps, trusted):
+            return real(p, eps, trusted)._replace(real=np.zeros(p.degree, dtype=bool))
+
+        monkeypatch.setattr(algebraic, "_root_table", no_real)
+        with pytest.raises(AlgebraicError) as info:
+            radical(Fraction(2, 3), 5)
+        exc = info.value
+        assert (exc.r, exc.m, exc.poly) == (Fraction(2, 3), 5, IntPolynomial((-2, 0, 0, 0, 0, 3)))
+        assert str(exc) == f"no certified real root found for the radical; r=2/3; m=5; poly={exc.poly}"
+
+    def test_unmatched_scaled_root(self, monkeypatch):
+        a = AlgebraicNumber(LEHMER, 3)
+        # take the lex index map away and make every disk meet every other
+        real = algebraic._root_table
+
+        def wide(p, eps, trusted):
+            t = real(p, eps, trusted)
+            return t._replace(lex=False, rad=np.full(len(t.rad), 1e3))
+
+        monkeypatch.setattr(algebraic, "_root_table", wide)
+        with pytest.raises(AlgebraicError) as info:
+            scale_by_rational(a, Fraction(3, 7))
+        exc = info.value
+        assert exc.r == Fraction(3, 7) and exc.poly == scaled_poly(LEHMER.coeffs, Fraction(7, 3))
+        assert exc.eps == 1e-12 / 256**29
+        assert str(exc) == f"could not match the scaled root; poly={exc.poly}; r=3/7; eps={exc.eps}"
+
+    def test_conjugates_not_separated_from_zero(self, monkeypatch):
+        monkeypatch.setattr(equidist, "_measure_at", lambda minpoly, eps: None)
+        alpha = radical(2, 3)
+        with pytest.raises(equidist.EquidistError) as info:
+            equidist.orbit_measure(alpha, eps=1e-9)
+        exc = info.value
+        assert exc.minpoly == alpha.minpoly and exc.eps == 1e-9 / 64**3
+        assert str(exc) == (
+            f"could not separate the conjugates from zero; minpoly={exc.minpoly}; eps={exc.eps}"
+        )
 
 
 class TestRootCache:

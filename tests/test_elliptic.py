@@ -491,6 +491,32 @@ class TestPrefixGcd:
                 cancelling += full > 1
         assert steps > 50 and cancelling > 10
 
+    def test_dup_forms_match_the_expanded_formula(self):
+        def expanded(A, B, p, q):
+            # the formula before the shared products
+            p2, q2 = p * p, q * q
+            F = p2 * p2 - 2 * A * p2 * q2 - 8 * B * p * q * q2 + A * A * q2 * q2
+            G = 4 * q * (p * p2 + A * p * q2 + B * q * q2)
+            return F, G
+
+        rng = random.Random(9)
+        for _ in range(120):
+            A, B = rng.randint(-50, 50), rng.randint(-50, 50)
+            # bit lengths log-uniform from 4 to 2^17
+            p, q = (rng.choice((-1, 1)) * rng.getrandbits(int(2 ** rng.uniform(2, 17)))
+                    for _ in range(2))
+            assert el._dup_forms(A, B, p, q) == expanded(A, B, p, q)
+        steps = 0
+        for curve, point in HEIGHT_PAIRS:
+            A, B, p, q = el._integral_x(curve, point)
+            while max(abs(p).bit_length(), q.bit_length()) <= 1 << 17:
+                F, G = el._dup_forms(A, B, p, q)
+                assert (F, G) == expanded(A, B, p, q)
+                g = math.gcd(F, G)
+                p, q = F // g, G // g
+                steps += 1
+        assert steps >= 8 * len(HEIGHT_PAIRS)
+
     def test_envelope_carries_per_curve_data(self):
         env = duplication_envelope(E_MINUS2)
         assert dict(env.R1_factors) == {2: 4, 3: 2}
