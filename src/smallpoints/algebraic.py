@@ -141,11 +141,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            raise AlgebraicError("derivative of a constant is the zero polynomial")
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -805,7 +800,6 @@ class AlgebraicNumber:
         coeffs: Sequence[int],
         index: Optional[int] = None,
         approx: Optional[complex] = None,
-        trusted_irreducible: bool = False,
         strict_canonical: bool = False,
     ) -> "AlgebraicNumber":
         poly = IntPolynomial(tuple(coeffs))
@@ -818,10 +812,9 @@ class AlgebraicNumber:
                 "(e.g. x^8 - 2 is -2,0,0,0,0,0,0,0,1)"
             )
         poly = poly.primitive()
-        if not trusted_irreducible:
-            factor = _irreducible_or_factor(poly)
-            if factor is not None:
-                raise ReducibleMinpolyError(poly, factor)
+        factor = _irreducible_or_factor(poly)
+        if factor is not None:
+            raise ReducibleMinpolyError(poly, factor)
         if index is None:
             index = 0 if approx is None else _index_near(poly, complex(approx))
         if not (0 <= index < poly.degree):

@@ -10,6 +10,9 @@ Conventions shared by every subcommand:
     (constant term first; an "approx": {"re", "im"} object may replace
     root_index), curves are {"a": "p/q", "b": "p/q"}, curve points are
     {"x": "p/q", "y": "p/q"} or "O";
+  * a torus input given by flag (--rational, --minpoly, --radical,
+    --root-of-unity, a torus --point) is turned into that same JSON literal
+    and read by the parser that reads files;
   * exit codes: 0 ok, 1 parse/validation error, 2 search space too large,
     3 point off curve, 4 inconclusive comparison or exhausted budget,
     5 property violation.
@@ -19,29 +22,27 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebraic import (
-    AlgebraicError,
     AlgebraicNumber,
     RootRefinementError,
     TorusElement,
     radical,
     root_of_unity,
     torus_height,
+    torus_power,
     weil_height,
 )
 from .dynamics import (
     DEFAULT_CAP,
-    DynamicsError,
     HeightedSystem,
     InconclusiveComparisonError,
     SearchBudgetError,
@@ -58,7 +59,6 @@ from .dynamics import (
 from .elliptic import (
     ECPoint,
     EllipticCurveQ,
-    EllipticError,
     OffCurveError,
     _is_prime,
     canonical_height,
@@ -66,7 +66,6 @@ from .elliptic import (
     require_on_curve,
 )
 from .equidist import (
-    EquidistError,
     orbit_measure,
     radial_deviation,
     star_discrepancy,
@@ -77,7 +76,6 @@ from .semiabelian import (
     CurveRelation,
     ExploreConfig,
     SearchSpaceError,
-    SemiabelianError,
     SemiabelianPoint,
     SubgroupGamma,
     explore_theorem,
@@ -93,18 +91,15 @@ EXIT_INCONCLUSIVE = 4
 EXIT_VIOLATION = 5
 
 FORMATS = ("json", "csv", "text")
+CSV_COMMANDS = ("equidist", "orbit")
 
 # every report labels its evidence honestly: sampled claims are sampled,
 # exact claims come from exponent arithmetic on the whole class
 SCOPE_LABEL = "verified on sample / exact on class"
 
 
-class CliError(Exception):
-    """Carries the exit code its message should produce."""
-
-    def __init__(self, message: str, code: int = EXIT_PARSE):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A malformed command line or input file (exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,21 @@ class ExperimentConfig:
         if int(self.seed) != self.seed or self.seed < 0:
             raise CliError("seed must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
+
+
+GLOBAL_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+Table = Tuple[List[str], List[List[str]]]
+
+
+class Output(NamedTuple):
+    """What a subcommand hands to emit(): the JSON payload, the text lines,
+    the exit code and, for the csv commands, the (header, rows) table."""
+
+    payload: dict
+    lines: List[str]
+    code: int = EXIT_OK
+    table: Optional[Table] = None
 
 
 # ---------------------------------------------------------------------------
@@ -154,45 +164,24 @@ def _round12(payload):
     return payload
 
 
-def _default_text(payload, indent: str = "") -> List[str]:
-    lines = []
-    if isinstance(payload, dict):
-        for k in payload:
-            v = payload[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}{k}:")
-                lines.extend(_default_text(v, indent + "  "))
-            else:
-                lines.append(f"{indent}{k}: {_scalar_text(v)}")
-    elif isinstance(payload, list):
-        for v in payload:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}-")
-                lines.extend(_default_text(v, indent + "  "))
-            else:
-                lines.append(f"{indent}- {_scalar_text(v)}")
-    else:
-        lines.append(f"{indent}{_scalar_text(payload)}")
-    return lines
+def _write_csv(fh, table: Table) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(table[0])
+    writer.writerows(table[1])
 
 
-def _scalar_text(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return fmt_float(v)
-    return str(v)
+def _save_csv(path: Path, table: Table) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(fh, table)
 
 
-def emit(payload: dict, cfg: ExperimentConfig,
-         text_lines: Optional[List[str]] = None) -> None:
+def emit(out: Output, cfg: ExperimentConfig) -> None:
     if cfg.fmt == "json":
-        print(json.dumps(_round12(payload), indent=2, sort_keys=True))
+        print(json.dumps(_round12(out.payload), indent=2, sort_keys=True))
     elif cfg.fmt == "text":
-        print("\n".join(text_lines if text_lines is not None
-                        else _default_text(_round12(payload))))
+        print("\n".join(out.lines))
     else:
-        raise CliError("csv output is only available for equidist and orbit")
+        _write_csv(sys.stdout, out.table)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +189,19 @@ def emit(payload: dict, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 
-def _no_unknown(obj: dict, allowed: Sequence[str], what: str) -> None:
+def _no_unknown(obj, allowed: Sequence[str], what: str,
+                required: Sequence[str] = ()) -> dict:
+    """obj itself, once it is a JSON object with every required key and no
+    key outside allowed."""
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} must be a JSON object with keys {sorted(allowed)}")
     extra = sorted(set(obj) - set(allowed))
     if extra:
         raise CliError(f"unknown field(s) {extra} in {what}; allowed: {sorted(allowed)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise CliError(f"{what} needs " + ", ".join(f"'{k}'" for k in missing))
+    return obj
 
 
 def load_json(path: str):
@@ -228,11 +226,8 @@ def parse_rational(value) -> Fraction:
 def parse_algebraic(obj) -> AlgebraicNumber:
     if isinstance(obj, (str, int)):
         return AlgebraicNumber.from_rational(parse_rational(obj))
-    if not isinstance(obj, dict):
-        raise CliError(f"cannot read {obj!r} as an algebraic number")
-    _no_unknown(obj, ("minpoly", "root_index", "approx"), "algebraic number")
-    if "minpoly" not in obj:
-        raise CliError("algebraic number literal needs a 'minpoly' array")
+    _no_unknown(obj, ("minpoly", "root_index", "approx"), "algebraic number",
+                ("minpoly",))
     coeffs = obj["minpoly"]
     if not isinstance(coeffs, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in coeffs
@@ -243,15 +238,11 @@ def parse_algebraic(obj) -> AlgebraicNumber:
     if "approx" in obj:
         if index is not None:
             raise CliError("give 'root_index' or 'approx', not both")
-        ap = obj["approx"]
-        _no_unknown(ap, ("re", "im"), "'approx'")
+        ap = _no_unknown(obj["approx"], ("re", "im"), "'approx'")
         approx = complex(float(ap.get("re", 0.0)), float(ap.get("im", 0.0)))
-    try:
-        return AlgebraicNumber.from_minpoly(
-            coeffs, index=index, approx=approx, strict_canonical=True
-        )
-    except AlgebraicError as exc:
-        raise CliError(str(exc))
+    return AlgebraicNumber.from_minpoly(
+        coeffs, index=index, approx=approx, strict_canonical=True
+    )
 
 
 def parse_torus_literal(obj) -> TorusElement:
@@ -266,21 +257,17 @@ def parse_torus_literal(obj) -> TorusElement:
         raise CliError("'exponent' must be an integer")
     body = {k: v for k, v in obj.items() if k != "exponent"}
     if "radical" in body:
-        _no_unknown(body, ("radical",), "torus element")
-        pair = body["radical"]
+        pair = _no_unknown(body, ("radical",), "torus element")["radical"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise CliError("'radical' takes [r, m]")
         return TorusElement(radical(parse_rational(pair[0]), int(pair[1])), exponent)
     if "root_of_unity" in body:
-        _no_unknown(body, ("root_of_unity",), "torus element")
-        spec = body["root_of_unity"]
+        spec = _no_unknown(body, ("root_of_unity",), "torus element")["root_of_unity"]
         if isinstance(spec, int):
             spec = [spec]
         if not isinstance(spec, list) or not 1 <= len(spec) <= 2:
             raise CliError("'root_of_unity' takes [n] or [n, k]")
-        n = int(spec[0])
-        k = int(spec[1]) if len(spec) == 2 else 1
-        return TorusElement(root_of_unity(n, k), exponent)
+        return TorusElement(root_of_unity(*(int(v) for v in spec)), exponent)
     if "minpoly" in body:
         return TorusElement(parse_algebraic(body), exponent)
     raise CliError(
@@ -289,29 +276,65 @@ def parse_torus_literal(obj) -> TorusElement:
     )
 
 
+def _minpoly_literal(text: str) -> dict:
+    try:
+        return {"minpoly": [int(c) for c in text.split(",")]}
+    except ValueError:
+        raise CliError("--minpoly takes comma-separated integers c0,...,cd")
+
+
+# each torus input flag, by argparse dest, as the literal an input file holds
+_TORUS_FLAGS = {
+    "rational": lambda v: v,
+    "minpoly": _minpoly_literal,
+    "radical": lambda v: {"radical": v},
+    "root_of_unity": lambda v: {"root_of_unity": v},
+}
+
+
+def _flag_literals(args) -> List[Tuple[str, object]]:
+    """(flag, literal) for every torus input on the command line, in flag
+    order; --index becomes the root_index of the --minpoly literal."""
+    given = [
+        ("--" + dest.replace("_", "-"), literal(value))
+        for dest, literal in _TORUS_FLAGS.items()
+        for value in getattr(args, dest, None) or ()
+    ]
+    if getattr(args, "index", None) is not None:
+        if not any(flag == "--minpoly" for flag, _ in given):
+            raise CliError("--index needs --minpoly")
+        for flag, literal in given:
+            if flag == "--minpoly":
+                literal["root_index"] = args.index
+    return given
+
+
+def _read_flag(flag: str, literal) -> TorusElement:
+    try:
+        return parse_torus_literal(literal)
+    except CliError as exc:
+        raise CliError(f"{flag}: {exc}")
+
+
+def _one_input(given: list, flags: str):
+    if len(given) != 1:
+        raise CliError(f"give exactly one of {flags}")
+    return given[0]
+
+
 def parse_curve(obj) -> EllipticCurveQ:
-    if not isinstance(obj, dict):
-        raise CliError("curve file must be a JSON object {'a': 'p/q', 'b': 'p/q'}")
-    _no_unknown(obj, ("a", "b"), "curve")
-    if "a" not in obj or "b" not in obj:
-        raise CliError("curve needs both 'a' and 'b'")
+    _no_unknown(obj, ("a", "b"), "curve", ("a", "b"))
     return EllipticCurveQ(parse_rational(obj["a"]), parse_rational(obj["b"]))
 
 
 def parse_ec_point(obj) -> ECPoint:
     if obj == "O":
         return ECPoint.identity()
-    if not isinstance(obj, dict):
-        raise CliError("point must be {'x': 'p/q', 'y': 'p/q'} or 'O'")
-    _no_unknown(obj, ("x", "y"), "point")
-    if "x" not in obj or "y" not in obj:
-        raise CliError("point needs both 'x' and 'y'")
+    _no_unknown(obj, ("x", "y"), "point (or 'O')", ("x", "y"))
     return ECPoint.of(parse_rational(obj["x"]), parse_rational(obj["y"]))
 
 
 def parse_product_point(obj) -> SemiabelianPoint:
-    if not isinstance(obj, dict):
-        raise CliError("product point must be {'ec': ..., 'torus': [...]}")
     _no_unknown(obj, ("ec", "torus"), "product point")
     ec = parse_ec_point(obj.get("ec", "O"))
     torus = tuple(parse_torus_literal(t) for t in obj.get("torus", []))
@@ -319,65 +342,41 @@ def parse_product_point(obj) -> SemiabelianPoint:
 
 
 def parse_star(obj) -> StarParams:
-    if not isinstance(obj, dict):
-        raise CliError("'star' must be an object {'r', 'M', 'c'}")
-    _no_unknown(obj, ("r", "M", "c"), "star parameters")
-    for key in ("r", "M", "c"):
-        if key not in obj:
-            raise CliError(f"star parameters need '{key}'")
-    try:
-        return StarParams(r=obj["r"], M=float(obj["M"]), c=float(obj["c"]))
-    except DynamicsError as exc:
-        raise CliError(str(exc))
+    _no_unknown(obj, ("r", "M", "c"), "star parameters", ("r", "M", "c"))
+    return StarParams(r=obj["r"], M=float(obj["M"]), c=float(obj["c"]))
+
+
+_MAP_KINDS = {"torus": ("power",), "elliptic": ("mult",),
+              "product": ("power", "mult")}
 
 
 def parse_system(obj, cfg: ExperimentConfig) -> HeightedSystem:
     """System descriptor {"domain", "map", "shift", "star"}; elliptic and
     product domains additionally carry "curve"."""
-    if not isinstance(obj, dict):
-        raise CliError("system descriptor must be a JSON object")
-    _no_unknown(obj, ("domain", "map", "shift", "star", "curve"), "system")
-    domain = obj.get("domain")
+    _no_unknown(obj, ("domain", "map", "shift", "star", "curve"), "system",
+                ("domain", "map"))
+    domain = obj["domain"]
     if domain not in ("torus", "elliptic", "product"):
         raise CliError("system 'domain' must be torus, elliptic, or product")
-    mp = obj.get("map")
-    if not isinstance(mp, dict):
-        raise CliError("system needs a 'map' object {'kind', 'm'}")
-    _no_unknown(mp, ("kind", "m"), "map descriptor")
-    kind = mp.get("kind")
-    wants = {"torus": ("power",), "elliptic": ("mult",),
-             "product": ("power", "mult")}[domain]
-    if kind not in wants:
-        raise CliError(f"map kind {kind!r} does not act on a {domain} domain")
-    m = mp.get("m")
+    mp = _no_unknown(obj["map"], ("kind", "m"), "map descriptor", ("kind", "m"))
+    if mp["kind"] not in _MAP_KINDS[domain]:
+        raise CliError(f"map kind {mp['kind']!r} does not act on a {domain} domain")
+    m = mp["m"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise CliError("map degree 'm' must be an integer")
-    shift = float(obj.get("shift", 0.0))
     star = parse_star(obj["star"]) if "star" in obj else None
-    curve = None
-    if domain in ("elliptic", "product"):
-        if "curve" not in obj:
-            raise CliError(f"{domain} system needs a 'curve'")
-        curve = parse_curve(obj["curve"])
-    elif "curve" in obj:
-        raise CliError("torus system takes no 'curve'")
-    try:
-        return HeightedSystem(domain, m, shift, curve, cfg.tol, star)
-    except DynamicsError as exc:
-        raise CliError(str(exc))
+    curve = parse_curve(obj["curve"]) if "curve" in obj else None
+    return HeightedSystem(domain, m, float(obj.get("shift", 0.0)), curve,
+                          cfg.tol, star)
 
 
 def parse_point_for(system: HeightedSystem, obj):
     if system.domain == "torus":
         return parse_torus_literal(obj)
     if system.domain == "elliptic":
-        pt = parse_ec_point(obj)
-        if not pt.is_identity:
-            require_on_curve(system.curve, pt)
-        return pt
+        return require_on_curve(system.curve, parse_ec_point(obj))
     pt = parse_product_point(obj)
-    if not pt.ec.is_identity:
-        require_on_curve(system.curve, pt.ec)
+    require_on_curve(system.curve, pt.ec)
     return pt
 
 
@@ -386,59 +385,37 @@ def parse_point_for(system: HeightedSystem, obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_height(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
+def cmd_height(args, cfg: ExperimentConfig) -> Output:
+    given = _flag_literals(args)
     if args.curve or args.point:
-        if not (args.curve and args.point):
-            raise CliError("curve heights need both --curve and --point")
-        curve = parse_curve(load_json(args.curve))
-        point = parse_ec_point(load_json(args.point))
-        if not point.is_identity:
-            require_on_curve(curve, point)
-        payload = {"kind": "elliptic", "point": str(point), "tol": cfg.tol}
-        lines = []
-        if args.naive or not args.canonical:
-            payload["naive"] = naive_height(point)
-            lines.append(f"naive height    {fmt_float(payload['naive'])}")
-        if args.canonical or not args.naive:
-            payload["canonical"] = canonical_height(curve, point, cfg.tol)
-            lines.append(f"canonical height {fmt_float(payload['canonical'])}"
-                         f"  (tol {fmt_float(cfg.tol)})")
-        return payload, lines, EXIT_OK
-
-    t = _height_input(args)
-    if args.exponent != 1 or t.exponent != 1:
-        value = torus_height(t, cfg.tol)
-        kind = "torus"
-    else:
-        value = weil_height(t.base, cfg.tol)
-        kind = "weil"
-    payload = {"kind": kind, "input": str(t), "height": value, "tol": cfg.tol}
-    return payload, [f"h({t}) = {fmt_float(value)}"], EXIT_OK
+        given.append(("--curve/--point", None))
+    flag, literal = _one_input(
+        given, "--rational, --minpoly, --radical, or --curve/--point"
+    )
+    if flag == "--curve/--point":
+        return _curve_height(args, cfg)
+    t = torus_power(_read_flag(flag, literal), args.exponent)
+    value = torus_height(t, cfg.tol)
+    payload = {"kind": "weil" if t.exponent == 1 else "torus", "input": str(t),
+               "height": value, "tol": cfg.tol}
+    return Output(payload, [f"h({t}) = {fmt_float(value)}"])
 
 
-def _height_input(args) -> TorusElement:
-    chosen = [x for x in (args.rational, args.minpoly, args.radical) if x]
-    if len(chosen) != 1:
-        raise CliError(
-            "give exactly one of --rational, --minpoly, --radical, or "
-            "--curve/--point"
-        )
-    if args.rational:
-        return TorusElement(
-            AlgebraicNumber.from_rational(parse_rational(args.rational)),
-            args.exponent,
-        )
-    if args.minpoly:
-        try:
-            coeffs = [int(c) for c in args.minpoly.split(",")]
-        except ValueError:
-            raise CliError("--minpoly takes comma-separated integers c0,...,cd")
-        literal = {"minpoly": coeffs}
-        if args.index is not None:
-            literal["root_index"] = args.index
-        return TorusElement(parse_algebraic(literal), args.exponent)
-    r, m = args.radical
-    return TorusElement(radical(parse_rational(r), int(m)), args.exponent)
+def _curve_height(args, cfg: ExperimentConfig) -> Output:
+    if not (args.curve and args.point):
+        raise CliError("curve heights need both --curve and --point")
+    curve = parse_curve(load_json(args.curve))
+    point = require_on_curve(curve, parse_ec_point(load_json(args.point)))
+    payload = {"kind": "elliptic", "point": str(point), "tol": cfg.tol}
+    lines = []
+    if args.naive or not args.canonical:
+        payload["naive"] = naive_height(point)
+        lines.append(f"naive height    {fmt_float(payload['naive'])}")
+    if args.canonical or not args.naive:
+        payload["canonical"] = canonical_height(curve, point, cfg.tol)
+        lines.append(f"canonical height {fmt_float(payload['canonical'])}"
+                     f"  (tol {fmt_float(cfg.tol)})")
+    return Output(payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -446,27 +423,12 @@ def _height_input(args) -> TorusElement:
 # ---------------------------------------------------------------------------
 
 
-def cmd_nfunc(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
+def cmd_nfunc(args, cfg: ExperimentConfig) -> Output:
     system = parse_system(load_json(args.system), cfg)
     if system.star is None:
         raise CliError("system descriptor has no 'star' block")
-
     if args.sequence:
-        if not (args.radical and args.n_max):
-            raise CliError("--sequence classifies the staircase R^(1/n); "
-                           "give --radical R 1 and --n-max N")
-        family = _radical_staircase(args, system)
-        report = classify_small_sequence(system, family, system.star, cfg.cap)
-        payload = report.as_dict()
-        payload["delta"] = system.shift
-        payload["scope"] = SCOPE_LABEL
-        lines = [
-            f"family of {len(family)} points",
-            f"N diverges: {payload['n_diverges']}",
-            f"heights to zero: {payload['heights_to_zero']}",
-            f"small sequence: {payload['is_small_sequence']}",
-        ]
-        return payload, lines, EXIT_OK
+        return _small_sequence(args, system, cfg)
 
     points = _nfunc_points(args, system, cfg)
     if not points:
@@ -482,48 +444,45 @@ def cmd_nfunc(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
         if n.kind == "cap_exceeded":
             code = EXIT_INCONCLUSIVE
     payload = {"results": results, "delta": system.shift, "cap": cfg.cap}
-    return payload, lines, code
+    return Output(payload, lines, code)
 
 
-def _radical_staircase(args, system) -> List[TorusElement]:
-    r, _ = args.radical[0]
-    base = parse_rational(r)
-    return [
-        TorusElement(radical(base, n), 1) if n > 1
-        else TorusElement.from_rational(base)
-        for n in range(1, args.n_max + 1)
+def _small_sequence(args, system, cfg: ExperimentConfig) -> Output:
+    if not (args.radical and args.n_max):
+        raise CliError("--sequence classifies the staircase R^(1/n); "
+                       "give --radical R 1 and --n-max N")
+    base = parse_rational(args.radical[0][0])
+    family = [TorusElement(radical(base, n), 1) for n in range(1, args.n_max + 1)]
+    report = classify_small_sequence(system, family, system.star, cfg.cap)
+    payload = report.as_dict()
+    payload["delta"] = system.shift
+    payload["scope"] = SCOPE_LABEL
+    lines = [
+        f"family of {len(family)} points",
+        f"N diverges: {payload['n_diverges']}",
+        f"heights to zero: {payload['heights_to_zero']}",
+        f"small sequence: {payload['is_small_sequence']}",
     ]
+    return Output(payload, lines)
 
 
-def _nfunc_points(args, system, cfg) -> list:
-    points = []
-    for s in args.point or []:
-        if system.domain == "torus":
-            points.append(TorusElement.from_rational(parse_rational(s)))
-        else:
-            points.append(parse_point_for(system, load_json(s)))
-    for r, m in args.radical or []:
-        if system.domain != "torus":
-            raise CliError("--radical points live on a torus system")
-        points.append(TorusElement(radical(parse_rational(r), int(m)), 1))
-    for spec in args.root_of_unity or []:
-        if system.domain != "torus":
-            raise CliError("--root-of-unity points live on a torus system")
-        n, k = (int(spec[0]), int(spec[1])) if len(spec) == 2 else (int(spec[0]), 1)
-        points.append(TorusElement(root_of_unity(n, k), 1))
-    for path in args.algebraic or []:
-        if system.domain != "torus":
-            raise CliError("--algebraic points live on a torus system")
-        points.append(parse_torus_literal(load_json(path)))
-    if args.random_rationals:
-        if system.domain != "torus":
-            raise CliError("--random-rationals works on torus systems")
-        rng = random.Random(cfg.seed)
-        while len(points) < args.random_rationals:
-            p = rng.randint(2, 999)
-            q = rng.randint(1, 999)
-            if math.gcd(p, q) == 1 and p != q:
-                points.append(TorusElement.from_rational(Fraction(p, q)))
+def _nfunc_points(args, system, cfg: ExperimentConfig) -> list:
+    torus = system.domain == "torus"
+    points = [parse_point_for(system, s if torus else load_json(s))
+              for s in args.point or ()]
+    given = _flag_literals(args) + [
+        ("--algebraic", load_json(path)) for path in args.algebraic or ()
+    ]
+    if (given or args.random_rationals) and not torus:
+        raise CliError("--radical, --root-of-unity, --algebraic and "
+                       "--random-rationals points live on a torus system")
+    points += [_read_flag(flag, literal) for flag, literal in given]
+    rng = random.Random(cfg.seed)
+    while len(points) < args.random_rationals:
+        p = rng.randint(2, 999)
+        q = rng.randint(1, 999)
+        if math.gcd(p, q) == 1 and p != q:
+            points.append(TorusElement.from_rational(Fraction(p, q)))
     return points
 
 
@@ -536,10 +495,16 @@ SUMMARY_HEADER = ["degree", "height", "discrepancy",
                   "weyl1", "weyl2", "weyl3", "weyl4", "weyl5", "radial_dev"]
 
 
+def _orbit_table(mu) -> Table:
+    return ORBIT_HEADER, [
+        [str(i), fmt_float(a), fmt_float(r), fmt_float(lr)]
+        for i, a, r, lr in mu.rows()
+    ]
+
+
 def _family(args) -> List[AlgebraicNumber]:
-    chosen = [x for x in (args.radicals, args.primes_max, args.poly) if x]
-    if len(chosen) != 1:
-        raise CliError("give exactly one of --radicals, --primes-max, --poly")
+    _one_input([x for x in (args.radicals, args.primes_max, args.poly) if x],
+               "--radicals, --primes-max, --poly")
     if args.radicals:
         if args.n_max is None:
             raise CliError("--radicals needs --n-max")
@@ -553,14 +518,7 @@ def _family(args) -> List[AlgebraicNumber]:
     return [parse_algebraic(body)]
 
 
-def _write_csv(path: Path, header: List[str], rows: List[List[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def cmd_equidist(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
+def cmd_equidist(args, cfg: ExperimentConfig) -> Output:
     if cfg.out_dir is None:
         raise CliError("equidist writes CSV files; give --out-dir")
     out = Path(cfg.out_dir)
@@ -570,12 +528,8 @@ def cmd_equidist(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
     orbit_files = []
     for i, alpha in enumerate(family, start=1):
         mu = orbit_measure(alpha)
-        rows = [
-            [str(idx), fmt_float(ang), fmt_float(rad), fmt_float(lr)]
-            for idx, ang, rad, lr in mu.rows()
-        ]
         name = f"orbit_{i:04d}.csv"
-        _write_csv(out / name, ORBIT_HEADER, rows)
+        _save_csv(out / name, _orbit_table(mu))
         orbit_files.append(name)
         entry = [
             str(alpha.degree),
@@ -585,14 +539,15 @@ def cmd_equidist(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
         entry += [fmt_float(weyl_sum(mu, k)) for k in range(1, 6)]
         entry.append(fmt_float(radial_deviation(mu)))
         summary_rows.append(entry)
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows)
+    summary = (SUMMARY_HEADER, summary_rows)
+    _save_csv(out / "summary.csv", summary)
     payload = {
         "orbits": len(family),
         "summary": str(out / "summary.csv"),
         "orbit_files": orbit_files,
     }
     lines = [f"wrote {len(family)} orbit file(s) and summary.csv to {out}"]
-    return payload, lines, EXIT_OK
+    return Output(payload, lines, EXIT_OK, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +562,14 @@ def _scenario_samples(scenario: dict, system: HeightedSystem) -> list:
     return [parse_point_for(system, s) for s in raw]
 
 
-def cmd_prop_check(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
+def cmd_prop_check(args, cfg: ExperimentConfig) -> Output:
     scenario = load_json(args.scenario)
-    if not isinstance(scenario, dict):
-        raise CliError("scenario must be a JSON object")
-    part = scenario.get("part")
-    if part not in (1, 2, 3, 4):
+    part = scenario.get("part") if isinstance(scenario, dict) else None
+    if part not in _PARTS:
         raise CliError("scenario needs 'part': 1, 2, 3, or 4")
-    handler = {1: _prop1, 2: _prop2, 3: _prop3, 4: _prop4}[part]
+    handler, required, optional = _PARTS[part]
+    _no_unknown(scenario, ("part", "name", "samples") + required + optional,
+                "scenario", required)
     payload = handler(scenario, cfg)
     payload["part"] = part
     payload["name"] = scenario.get("name", f"part{part}")
@@ -623,7 +578,7 @@ def cmd_prop_check(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
     inconclusive = any(
         "cap_exceeded" in str(row.values()) for row in payload.get("rows", [])
     )
-    violations = payload.get("violations", [])
+    violations = payload["violations"]
     code = EXIT_OK if not violations else EXIT_VIOLATION
     if inconclusive:
         code = EXIT_INCONCLUSIVE
@@ -631,24 +586,15 @@ def cmd_prop_check(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
         f"part {part} ({payload['name']}): "
         + ("PASS" if code == EXIT_OK else "FAIL"),
         f"violations: {len(violations)}",
-        f"delta: {fmt_float(payload.get('delta', 0.0))}",
+        f"delta: {fmt_float(payload['delta'])}",
         f"scope: {SCOPE_LABEL}",
     ]
-    return payload, lines, code
-
-
-def _common(scenario: dict, cfg, *extra_keys) -> tuple:
-    allowed = ("part", "name", "samples") + extra_keys
-    _no_unknown(scenario, allowed, "scenario")
-    if "star" in allowed and "star" not in scenario:
-        raise CliError("scenario needs 'star'")
-    return allowed
+    return Output(payload, lines, code)
 
 
 def _prop1(scenario: dict, cfg: ExperimentConfig) -> dict:
-    _common(scenario, cfg, "system", "system_prime", "star")
-    system = parse_system(scenario.get("system"), cfg)
-    system_prime = parse_system(scenario.get("system_prime"), cfg)
+    system = parse_system(scenario["system"], cfg)
+    system_prime = parse_system(scenario["system_prime"], cfg)
     star = parse_star(scenario["star"])
     samples = _scenario_samples(scenario, system)
     if not samples:
@@ -660,71 +606,51 @@ def _prop1(scenario: dict, cfg: ExperimentConfig) -> dict:
     e_prime = max(1.0, comparison.e_prime) * (1 + 1e-9)
     derived = derive_prop1_params(star, e, e_prime)
     report = verify_star(system_prime, derived, samples)
-    return {
-        "e": e,
-        "e_prime": e_prime,
-        "star": {"r": star.r, "M": star.M, "c": star.c},
-        "derived_star": {"r": derived.r, "M": derived.M, "c": derived.c},
-        "analytic_ok": report.analytic_ok,
-        "checked": report.checked,
-        "vacuous": report.vacuous,
-        "violations": list(report.violations)
-        + ([] if report.analytic_ok else [{"reason": "analytic (*) fails"}]),
-        "delta": system_prime.shift,
-        "holds": report.holds,
-    }
+    body = report.as_dict()
+    if not report.analytic_ok:
+        body["violations"].append({"reason": "analytic (*) fails"})
+    body.update(e=e, e_prime=e_prime, star=asdict(star),
+                derived_star=asdict(derived))
+    return body
 
 
 def _prop2(scenario: dict, cfg: ExperimentConfig) -> dict:
-    _common(scenario, cfg, "system", "star", "m_prime", "e_prime")
-    system = parse_system(scenario.get("system"), cfg)
-    star = parse_star(scenario["star"])
-    if "m_prime" not in scenario:
-        raise CliError("part 2 needs 'm_prime'")
+    system = parse_system(scenario["system"], cfg)
+    m_prime = float(scenario["m_prime"])
     report = check_prop2(
         system,
-        star,
-        float(scenario["m_prime"]),
+        parse_star(scenario["star"]),
+        m_prime,
         float(scenario.get("e_prime", 1.0)),
         _scenario_samples(scenario, system),
         cfg.cap,
     )
-    body = report.as_dict()
-    body["m_prime"] = float(scenario["m_prime"])
-    return body
+    return dict(report.as_dict(), m_prime=m_prime)
 
 
 def _prop3(scenario: dict, cfg: ExperimentConfig) -> dict:
-    _common(scenario, cfg, "system_f", "system_g", "star", "d")
-    system_f = parse_system(scenario.get("system_f"), cfg)
-    system_g = parse_system(scenario.get("system_g"), cfg)
-    star = parse_star(scenario["star"])
-    if "d" not in scenario:
-        raise CliError("part 3 needs 'd'")
+    system_f = parse_system(scenario["system_f"], cfg)
+    system_g = parse_system(scenario["system_g"], cfg)
     report = check_prop3(
-        system_f, system_g, star, float(scenario["d"]),
+        system_f, system_g, parse_star(scenario["star"]), float(scenario["d"]),
         _scenario_samples(scenario, system_f), cfg.cap,
     )
     body = report.as_dict()
     if not report.d_valid:
-        body["violations"] = list(body["violations"]) + [
+        body["violations"].append(
             {"reason": "d does not strictly bound one-step height growth"}
-        ]
+        )
     return body
 
 
 def _prop4(scenario: dict, cfg: ExperimentConfig) -> dict:
-    _common(scenario, cfg, "psi", "k", "system", "system_prime", "star", "m_prime")
-    system = parse_system(scenario.get("system"), cfg)
-    system_prime = parse_system(scenario.get("system_prime"), cfg)
-    star = parse_star(scenario["star"])
-    if "m_prime" not in scenario:
-        raise CliError("part 4 needs 'm_prime'")
+    system = parse_system(scenario["system"], cfg)
+    system_prime = parse_system(scenario["system_prime"], cfg)
     report = check_prop4(
         scenario.get("psi", "include"),
         system,
         system_prime,
-        star,
+        parse_star(scenario["star"]),
         float(scenario["m_prime"]),
         _scenario_samples(scenario, system),
         int(scenario.get("k", 1)),
@@ -732,10 +658,17 @@ def _prop4(scenario: dict, cfg: ExperimentConfig) -> dict:
     )
     body = report.as_dict()
     if not report.m_prime_ok:
-        body["violations"] = list(body["violations"]) + [
-            {"reason": "M' must exceed alpha * M"}
-        ]
+        body["violations"].append({"reason": "M' must exceed alpha * M"})
     return body
+
+
+# part -> (handler, required scenario keys, optional scenario keys)
+_PARTS = {
+    1: (_prop1, ("system", "system_prime", "star"), ()),
+    2: (_prop2, ("system", "star", "m_prime"), ("e_prime",)),
+    3: (_prop3, ("system_f", "system_g", "star", "d"), ()),
+    4: (_prop4, ("system", "system_prime", "star", "m_prime"), ("psi", "k")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -752,57 +685,42 @@ def _parse_relation(raw, torus_rank: int) -> CurveRelation:
             raise CliError("each equation is a non-empty array of terms")
         terms = {}
         for term in eq:
-            _no_unknown(term, ("coeff", "exponents"), "relation term")
-            if "coeff" not in term or "exponents" not in term:
-                raise CliError("relation terms need 'coeff' and 'exponents'")
+            _no_unknown(term, ("coeff", "exponents"), "relation term",
+                        ("coeff", "exponents"))
             exps = tuple(int(e) for e in term["exponents"])
             terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(term["coeff"])
         equations.append(terms)
-    try:
-        return CurveRelation.of(equations, torus_rank)
-    except SemiabelianError as exc:
-        raise CliError(str(exc))
+    return CurveRelation.of(equations, torus_rank)
 
 
-def cmd_explore(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
-    exp = load_json(args.experiment)
-    if not isinstance(exp, dict):
-        raise CliError("experiment must be a JSON object")
-    _no_unknown(
-        exp,
+def cmd_explore(args, cfg: ExperimentConfig) -> Output:
+    exp = _no_unknown(
+        load_json(args.experiment),
         ("name", "curve", "torus_rank", "generators", "relation", "eps",
          "gen_bound", "rou_order", "radicals", "max_search"),
         "experiment",
+        ("curve", "torus_rank", "relation", "eps"),
     )
-    for key in ("curve", "torus_rank", "relation", "eps"):
-        if key not in exp:
-            raise CliError(f"experiment needs '{key}'")
     curve = parse_curve(exp["curve"])
     rank = int(exp["torus_rank"])
-    ambient = AmbientVariety(curve, rank)
     generators = []
     for g in exp.get("generators", []):
         pt = parse_product_point(g)
-        if not pt.ec.is_identity:
-            require_on_curve(curve, pt.ec)
+        require_on_curve(curve, pt.ec)
         generators.append(pt)
-    try:
-        gamma = SubgroupGamma.of(generators, rank)
-        config = ExploreConfig(
-            gen_bound=int(exp.get("gen_bound", 2)),
-            rou_order=int(exp.get("rou_order", 8)),
-            radicals=tuple(
-                (parse_rational(r), int(m)) for r, m in exp.get("radicals", [])
-            ),
-            tol=cfg.tol,
-            max_search=int(exp.get("max_search", 200_000)),
-        )
-        report = explore_theorem(ambient, gamma, _parse_relation(
-            exp["relation"], rank), float(exp["eps"]), config)
-    except SearchSpaceError:
-        raise
-    except SemiabelianError as exc:
-        raise CliError(str(exc))
+    config = ExploreConfig(
+        gen_bound=int(exp.get("gen_bound", 2)),
+        rou_order=int(exp.get("rou_order", 8)),
+        radicals=tuple(
+            (parse_rational(r), int(m)) for r, m in exp.get("radicals", [])
+        ),
+        tol=cfg.tol,
+        max_search=int(exp.get("max_search", 200_000)),
+    )
+    report = explore_theorem(
+        AmbientVariety(curve, rank), SubgroupGamma.of(generators, rank),
+        _parse_relation(exp["relation"], rank), float(exp["eps"]), config,
+    )
     report["name"] = exp.get("name", "experiment")
     lines = [
         report["disclaimer"],
@@ -818,7 +736,7 @@ def cmd_explore(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
             f"  z = {hit['small_point']}  [{hit['membership']}]"
         )
     lines.append(f"coset candidates: {report['cosets']}")
-    return report, lines, EXIT_OK
+    return Output(report, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -826,44 +744,27 @@ def cmd_explore(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_orbit(args, cfg: ExperimentConfig) -> Tuple[dict, List[str], int]:
-    fake = argparse.Namespace(
-        rational=None, minpoly=args.minpoly, radical=args.radical,
-        index=args.index, exponent=1, curve=None, point=None,
-    )
+def cmd_orbit(args, cfg: ExperimentConfig) -> Output:
+    given = _flag_literals(args)
     if args.poly:
-        alpha = parse_algebraic(load_json(args.poly))
-    elif args.root_of_unity:
-        spec = args.root_of_unity
-        n, k = (int(spec[0]), int(spec[1])) if len(spec) == 2 else (int(spec[0]), 1)
-        alpha = root_of_unity(n, k)
+        given.append(("--poly", load_json(args.poly)))
+    flag, literal = _one_input(given, "--minpoly, --radical, --root-of-unity, --poly")
+    if flag == "--poly":
+        alpha = parse_algebraic(literal)
     else:
-        alpha = _height_input(fake).base
+        alpha = _read_flag(flag, literal).base
     mu = orbit_measure(alpha)
-    rows = [
-        [str(i), fmt_float(a), fmt_float(r), fmt_float(lr)]
-        for i, a, r, lr in mu.rows()
-    ]
+    table = _orbit_table(mu)
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "orbit.csv", ORBIT_HEADER, rows)
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ORBIT_HEADER)
-        writer.writerows(rows)
-        print(buf.getvalue(), end="")
-        return {}, [], EXIT_OK
+        _save_csv(out / "orbit.csv", table)
     payload = {
         "degree": alpha.degree,
-        "rows": [
-            {"index": i, "angle": a, "radius": r, "log_radius": lr}
-            for i, a, r, lr in mu.rows()
-        ],
+        "rows": [dict(zip(ORBIT_HEADER, row)) for row in mu.rows()],
     }
-    lines = [",".join(ORBIT_HEADER)] + [",".join(r) for r in rows]
-    return payload, lines, EXIT_OK
+    lines = [",".join(row) for row in [table[0]] + table[1]]
+    return Output(payload, lines, EXIT_OK, table)
 
 
 # ---------------------------------------------------------------------------
@@ -876,15 +777,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-GLOBAL_DEFAULTS = {
-    "tol": 1e-10,
-    "cap": DEFAULT_CAP,
-    "format": "text",
-    "out_dir": None,
-    "seed": 0,
-}
-
-
 def _global_flags() -> argparse.ArgumentParser:
     """The shared flags, accepted both before and after the subcommand.
 
@@ -893,10 +785,11 @@ def _global_flags() -> argparse.ArgumentParser:
     GLOBAL_DEFAULTS afterwards."""
     g = _Parser(add_help=False)
     g.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                   help="height tolerance (default 1e-10)")
+                   help=f"height tolerance (default {GLOBAL_DEFAULTS['tol']})")
     g.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                   help=f"iteration cap (default {DEFAULT_CAP})")
-    g.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
+                   help=f"iteration cap (default {GLOBAL_DEFAULTS['cap']})")
+    g.add_argument("--format", dest="fmt", choices=FORMATS,
+                   default=argparse.SUPPRESS)
     g.add_argument("--out-dir", "-o", default=argparse.SUPPRESS,
                    help="directory for CSV emission")
     g.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -916,10 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("height", help="Weil / torus / curve heights",
                        parents=shared)
-    p.add_argument("--rational", help="rational number p/q")
-    p.add_argument("--minpoly", help="integer coefficients c0,...,cd")
+    p.add_argument("--rational", action="append", help="rational number p/q")
+    p.add_argument("--minpoly", action="append",
+                   help="integer coefficients c0,...,cd")
     p.add_argument("--index", type=int, default=None, help="root index")
-    p.add_argument("--radical", nargs=2, metavar=("R", "M"),
+    p.add_argument("--radical", nargs=2, action="append", metavar=("R", "M"),
                    help="the real M-th root of R")
     p.add_argument("--exponent", type=int, default=1,
                    help="torus exponent applied to the input")
@@ -957,10 +851,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True, help="experiment JSON file")
 
     p = sub.add_parser("orbit", help="dump the conjugate set of one number", parents=shared)
-    p.add_argument("--minpoly", help="integer coefficients c0,...,cd")
+    p.add_argument("--minpoly", action="append",
+                   help="integer coefficients c0,...,cd")
     p.add_argument("--index", type=int, default=None)
-    p.add_argument("--radical", nargs=2, metavar=("R", "M"))
-    p.add_argument("--root-of-unity", nargs="+", metavar="N [K]")
+    p.add_argument("--radical", nargs=2, action="append", metavar=("R", "M"))
+    p.add_argument("--root-of-unity", nargs="+", action="append",
+                   metavar="N [K]")
     p.add_argument("--poly", help="JSON file with an algebraic literal")
 
     return parser
@@ -975,38 +871,31 @@ _COMMANDS = {
     "orbit": cmd_orbit,
 }
 
+# the first row whose types match an error gives its exit code; every
+# library error and CliError is a ValueError
+_EXIT_CODES = (
+    (SearchSpaceError, EXIT_SEARCH_SPACE),
+    (OffCurveError, EXIT_OFF_CURVE),
+    ((InconclusiveComparisonError, SearchBudgetError, RootRefinementError),
+     EXIT_INCONCLUSIVE),
+    ((ValueError, OSError), EXIT_PARSE),
+)
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        merged = {**GLOBAL_DEFAULTS, **vars(args)}
-        args = argparse.Namespace(**merged)
         cfg = ExperimentConfig(
-            fmt=args.format, tol=args.tol, cap=args.cap,
-            out_dir=args.out_dir, seed=args.seed,
+            **{k: getattr(args, k, v) for k, v in GLOBAL_DEFAULTS.items()}
         )
-        payload, lines, code = _COMMANDS[args.command](args, cfg)
-        if payload or lines:
-            emit(payload, cfg, lines)
-        return code
-    except CliError as exc:
+        if cfg.fmt == "csv" and args.command not in CSV_COMMANDS:
+            raise CliError("csv output is only available for equidist and orbit")
+        out = _COMMANDS[args.command](args, cfg)
+        emit(out, cfg)
+        return out.code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except SearchSpaceError as exc:
-        print(f"error: search space of {exc.estimate} candidates exceeds "
-              f"the budget of {exc.limit}", file=sys.stderr)
-        return EXIT_SEARCH_SPACE
-    except OffCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OFF_CURVE
-    except (InconclusiveComparisonError, SearchBudgetError,
-            RootRefinementError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (AlgebraicError, DynamicsError, EllipticError, EquidistError,
-            SemiabelianError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

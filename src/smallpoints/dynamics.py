@@ -30,7 +30,7 @@ normalization that heights exceed a positive constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebraic import TorusElement
@@ -132,26 +132,24 @@ Point = Union[TorusElement, ECPoint, SemiabelianPoint]
 
 
 def _parts(system: HeightedSystem, z: Point):
+    """(curve, ec, torus) of z, the arguments of height_parts and
+    is_torsion_point: height_parts gives (h_quadratic, err_q, h_linear,
+    err_l, exactly_zero), and the height after N steps is
+    m^(2N) h_quadratic + m^N h_linear + shift."""
     kind = {"torus": TorusElement, "elliptic": ECPoint,
             "product": SemiabelianPoint}[system.domain]
     if not isinstance(z, kind):
         raise DynamicsError(f"{system.domain} system expects {kind.__name__} points")
     if system.domain == "torus":
-        return None, (z,)
+        return system.curve, None, (z,)
     if system.domain == "elliptic":
-        return z, ()
-    return z.ec, z.torus
-
-
-def _base_components(system: HeightedSystem, z: Point):
-    """(h_quadratic, err_q, h_linear, err_l, exactly_zero) so that the
-    height after N steps is m^(2N) h_quadratic + m^N h_linear + shift."""
-    return height_parts(system.curve, *_parts(system, z), system.tol)
+        return system.curve, z, ()
+    return system.curve, z.ec, z.torus
 
 
 def system_height(system: HeightedSystem, z: Point) -> float:
     """The shifted height h(z) + delta."""
-    hq, _, hl, _, _ = _base_components(system, z)
+    hq, _, hl, _, _ = height_parts(*_parts(system, z), system.tol)
     return hq + hl + system.shift
 
 
@@ -161,7 +159,7 @@ def is_preperiodic(system: HeightedSystem, z: Point) -> bool:
     On the torus this happens exactly for roots of unity, on a curve
     exactly for torsion points, and on a product exactly when both hold
     (each follows from strict height growth); no height is computed."""
-    return is_torsion_point(system.curve, *_parts(system, z))
+    return is_torsion_point(*_parts(system, z))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +269,7 @@ def n_function(
         raise DynamicsError("cap must be >= 1")
     tol = system.tol
     for _ in range(3):
-        hq, eq, hl, el, zero = _base_components(
-            system if tol == system.tol else _retol(system, tol), z
-        )
+        hq, eq, hl, el, zero = height_parts(*_parts(system, z), tol)
         if zero:
             return NValue.preperiodic()
         try:
@@ -286,34 +282,26 @@ def n_function(
     )
 
 
-def _retol(system: HeightedSystem, tol: float) -> HeightedSystem:
-    return HeightedSystem(system.domain, system.m, system.shift, system.curve,
-                          tol, system.star)
-
-
 # ---------------------------------------------------------------------------
 # the (*) condition
 # ---------------------------------------------------------------------------
 
 
+class _Report:
+    """as_dict() of a check's report: its fields plus the verdict `holds`."""
+
+    def as_dict(self) -> dict:
+        return dict(asdict(self), holds=self.holds)
+
+
 @dataclass(frozen=True)
-class StarReport:
+class StarReport(_Report):
     holds: bool
     analytic_ok: bool
     checked: int
     vacuous: int
     violations: list
     delta: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "analytic_ok": self.analytic_ok,
-            "checked": self.checked,
-            "vacuous": self.vacuous,
-            "violations": list(self.violations),
-            "delta": self.delta,
-        }
 
 
 def verify_star(
@@ -344,7 +332,7 @@ def verify_star(
     violations = []
     checked = vacuous = 0
     for z in samples:
-        hq, eq, hl, el, zero = _base_components(system, z)
+        hq, eq, hl, el, zero = height_parts(*_parts(system, z), system.tol)
         hd = hq + hl + delta
         err = eq + el
         above = _exceeds(hd, err, star.M)
@@ -387,14 +375,8 @@ class SmallSequenceReport:
         return self.n_diverges
 
     def as_dict(self) -> dict:
-        return {
-            "n_values": [str(n) for n in self.n_values],
-            "heights": self.heights,
-            "n_diverges": self.n_diverges,
-            "heights_to_zero": self.heights_to_zero,
-            "preperiodic_count": self.preperiodic_count,
-            "is_small_sequence": self.is_small_sequence,
-        }
+        return dict(asdict(self), n_values=[str(n) for n in self.n_values],
+                    is_small_sequence=self.is_small_sequence)
 
 
 def classify_small_sequence(
@@ -438,9 +420,6 @@ class HeightComparison:
     e: float
     e_prime: float
     pairs: List[Tuple[float, float]]
-
-    def as_dict(self) -> dict:
-        return {"e": self.e, "e_prime": self.e_prime, "pairs": self.pairs}
 
 
 def empirical_height_comparison(
@@ -495,7 +474,7 @@ def derive_prop1_params(star: StarParams, e: float, e_prime: float) -> StarParam
 
 
 @dataclass(frozen=True)
-class Prop2Report:
+class Prop2Report(_Report):
     p: int
     offset: int
     rows: List[dict]
@@ -505,16 +484,6 @@ class Prop2Report:
     @property
     def holds(self) -> bool:
         return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "offset": self.offset,
-            "rows": self.rows,
-            "violations": self.violations,
-            "holds": self.holds,
-            "delta": self.delta,
-        }
 
 
 def check_prop2(
@@ -562,7 +531,7 @@ def check_prop2(
 
 
 @dataclass(frozen=True)
-class Prop3Report:
+class Prop3Report(_Report):
     d: float
     d_valid: bool
     factor: int
@@ -573,17 +542,6 @@ class Prop3Report:
     @property
     def holds(self) -> bool:
         return self.d_valid and not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "d_valid": self.d_valid,
-            "factor": self.factor,
-            "rows": self.rows,
-            "violations": self.violations,
-            "holds": self.holds,
-            "delta": self.delta,
-        }
 
 
 def check_prop3(
@@ -633,7 +591,7 @@ PSI_KINDS = ("include", "diagonal", "power")
 
 
 @dataclass(frozen=True)
-class Prop4Report:
+class Prop4Report(_Report):
     psi: str
     alpha: float
     m_prime_ok: bool
@@ -645,18 +603,6 @@ class Prop4Report:
     @property
     def holds(self) -> bool:
         return self.m_prime_ok and not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "psi": self.psi,
-            "alpha": self.alpha,
-            "m_prime_ok": self.m_prime_ok,
-            "rows": self.rows,
-            "violations": self.violations,
-            "equalities": self.equalities,
-            "holds": self.holds,
-            "delta": self.delta,
-        }
 
 
 def _psi_alpha(kind: str, k: int, delta: float, delta_prime: float) -> float:
@@ -707,7 +653,7 @@ def check_prop4(
     scale = {"include": 1, "diagonal": 2, "power": abs(k)}[psi_kind]
     for z in samples:
         n = n_function(system, z, star, cap)
-        hq, eq, hl, el, zero = _base_components(system, z)
+        hq, eq, hl, el, zero = height_parts(*_parts(system, z), system.tol)
         # h' of psi(z) evolves componentwise as m^{2N} / m^N times scale
         n2 = n_from_components(
             (scale * hq, scale * eq),
@@ -741,13 +687,6 @@ class BallMembership:
     member: bool
     n_value: NValue
     threshold: float
-
-    def as_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "n": str(self.n_value),
-            "threshold": self.threshold,
-        }
 
 
 def n_ball_membership(

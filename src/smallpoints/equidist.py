@@ -165,15 +165,6 @@ class BiluReport:
     def is_equidistributing(self) -> bool:
         return self.discrepancy_to_zero and self.radial_to_zero
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "discrepancy_to_zero": self.discrepancy_to_zero,
-            "radial_to_zero": self.radial_to_zero,
-            "heights_to_zero": self.heights_to_zero,
-            "is_equidistributing": self.is_equidistributing,
-        }
-
 
 def _to_zero(values: Sequence[float], k: int) -> bool:
     head = max(values[:k])

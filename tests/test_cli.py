@@ -100,6 +100,20 @@ class TestHeight:
                            "--radical", "2", "3")
         assert code == 1
 
+    def test_index_without_minpoly_rejected(self, capsys):
+        code, out, err = run(capsys, "height", "--rational", "2",
+                             "--index", "3")
+        assert code == 1 and out == ""
+        assert "--index" in err and "--minpoly" in err
+
+    def test_curve_with_torus_input_rejected(self, capsys, tmp_path):
+        curve = write(tmp_path, "e.json", {"a": "0", "b": "-2"})
+        point = write(tmp_path, "p.json", {"x": "3", "y": "5"})
+        code, _, err = run(capsys, "height", "--curve", curve, "--point",
+                           point, "--rational", "2")
+        assert code == 1
+        assert "exactly one" in err
+
     def test_unknown_curve_field_rejected(self, capsys, tmp_path):
         curve = write(tmp_path, "e.json", {"a": "0", "b": "-2", "c": "1"})
         point = write(tmp_path, "p.json", "O")
@@ -150,6 +164,13 @@ class TestNFunc:
                            "--system", sys_file, "--radical", "2", "256")
         assert code == 4
         assert json.loads(out)["results"][0]["n"] == "cap_exceeded"
+
+    def test_root_of_unity_takes_at_most_two_values(self, capsys, tmp_path):
+        sys_file = write(tmp_path, "sys.json", TORUS_SYSTEM)
+        code, out, err = run(capsys, "nfunc", "--system", sys_file,
+                             "--root-of-unity", "5", "2", "3")
+        assert code == 1 and out == ""
+        assert "--root-of-unity" in err
 
     def test_random_rationals_seeded(self, capsys, tmp_path):
         sys_file = write(tmp_path, "sys.json", TORUS_SYSTEM)
@@ -235,6 +256,22 @@ class TestEquidist:
             )
             blobs.append(blob)
         assert blobs[0] == blobs[1]
+
+    def test_csv_format_prints_summary_and_writes_same_files(self, capsys,
+                                                             tmp_path):
+        code, _, _ = run(capsys, "equidist", "--radicals", "2", "--n-max",
+                         "5", "-o", str(tmp_path / "text"))
+        assert code == 0
+        code, out, err = run(capsys, "--format", "csv", "equidist",
+                             "--radicals", "2", "--n-max", "5",
+                             "-o", str(tmp_path / "csv"))
+        assert code == 0, err
+        names = sorted(p.name for p in (tmp_path / "text").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "csv").iterdir())
+        for name in names:
+            assert ((tmp_path / "csv" / name).read_bytes()
+                    == (tmp_path / "text" / name).read_bytes())
+        assert out == (tmp_path / "csv" / "summary.csv").read_text()
 
     def test_needs_out_dir(self, capsys):
         code, _, err = run(capsys, "equidist", "--radicals", "2",
@@ -381,6 +418,26 @@ class TestOrbit:
         assert code == 0
         assert (out_dir / "orbit.csv").read_text().splitlines()[0] == \
             "index,angle,radius,log_radius"
+
+
+    def test_no_input_names_orbit_flags(self, capsys):
+        code, out, err = run(capsys, "orbit")
+        assert code == 1 and out == ""
+        for flag in ("--minpoly", "--radical", "--root-of-unity", "--poly"):
+            assert flag in err
+        assert "--rational" not in err and "--curve" not in err
+
+    def test_two_inputs_rejected(self, capsys, tmp_path):
+        poly = write(tmp_path, "lehmer.json", {"minpoly": LEHMER_COEFFS})
+        code, out, err = run(capsys, "orbit", "--radical", "2", "3",
+                             "--poly", poly)
+        assert code == 1 and out == ""
+        assert "exactly one" in err and "--poly" in err
+
+    def test_root_of_unity_takes_at_most_two_values(self, capsys):
+        code, out, err = run(capsys, "orbit", "--root-of-unity", "12", "5", "7")
+        assert code == 1 and out == ""
+        assert "--root-of-unity" in err
 
 
 class TestConfig:
