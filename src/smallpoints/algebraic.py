@@ -297,10 +297,6 @@ class CertifiedRoot:
     def center(self) -> mpc:
         return mpc(self.re, self.im)
 
-    def abs_interval(self):
-        """(lo, hi) bounds on the modulus of the enclosed root."""
-        return _abs_interval(self.re, self.im, self.radius)
-
     def angle_unit(self) -> float:
         """Angle in [0, 1) turns; exactly 0 or 1/2 for certified-real roots."""
         return _angle_unit(self.re, self.im, self.is_real)

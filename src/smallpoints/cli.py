@@ -214,6 +214,25 @@ def load_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}")
 
 
+def _read(value, what: str, kind: type = int, size: int = 0):
+    """A JSON value as kind: int (an integral number, or a string of one,
+    as flags give), float (a number or a numeric string) or list (an array,
+    of size items when size is set). Any other value is a CliError naming
+    what, never a TypeError."""
+    if kind is list:
+        if isinstance(value, list) and size in (0, len(value)):
+            return value
+    elif not isinstance(value, (bool, list, dict)) and not (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    shape = {int: "an integer", float: "a number",
+             list: f"an array of {size} items" if size else "an array"}[kind]
+    raise CliError(f"{what} must be {shape}, got {json.dumps(value)}")
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise CliError(f"rationals must be written as strings 'p/q', got {value!r}")
@@ -234,12 +253,14 @@ def parse_algebraic(obj) -> AlgebraicNumber:
     ):
         raise CliError("'minpoly' must be an array of integers, constant term first")
     index = obj.get("root_index")
+    index = index if index is None else _read(index, "'root_index'")
     approx = None
     if "approx" in obj:
         if index is not None:
             raise CliError("give 'root_index' or 'approx', not both")
         ap = _no_unknown(obj["approx"], ("re", "im"), "'approx'")
-        approx = complex(float(ap.get("re", 0.0)), float(ap.get("im", 0.0)))
+        approx = complex(_read(ap.get("re", 0.0), "'re'", float),
+                         _read(ap.get("im", 0.0), "'im'", float))
     return AlgebraicNumber.from_minpoly(
         coeffs, index=index, approx=approx, strict_canonical=True
     )
@@ -260,14 +281,16 @@ def parse_torus_literal(obj) -> TorusElement:
         pair = _no_unknown(body, ("radical",), "torus element")["radical"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise CliError("'radical' takes [r, m]")
-        return TorusElement(radical(parse_rational(pair[0]), int(pair[1])), exponent)
+        r, m = parse_rational(pair[0]), _read(pair[1], "m in 'radical'")
+        return TorusElement(radical(r, m), exponent)
     if "root_of_unity" in body:
         spec = _no_unknown(body, ("root_of_unity",), "torus element")["root_of_unity"]
         if isinstance(spec, int):
             spec = [spec]
         if not isinstance(spec, list) or not 1 <= len(spec) <= 2:
             raise CliError("'root_of_unity' takes [n] or [n, k]")
-        return TorusElement(root_of_unity(*(int(v) for v in spec)), exponent)
+        spec = [_read(v, "'root_of_unity'") for v in spec]
+        return TorusElement(root_of_unity(*spec), exponent)
     if "minpoly" in body:
         return TorusElement(parse_algebraic(body), exponent)
     raise CliError(
@@ -337,13 +360,15 @@ def parse_ec_point(obj) -> ECPoint:
 def parse_product_point(obj) -> SemiabelianPoint:
     _no_unknown(obj, ("ec", "torus"), "product point")
     ec = parse_ec_point(obj.get("ec", "O"))
-    torus = tuple(parse_torus_literal(t) for t in obj.get("torus", []))
+    torus = tuple(parse_torus_literal(t)
+                  for t in _read(obj.get("torus", []), "'torus'", list))
     return SemiabelianPoint(ec, torus)
 
 
 def parse_star(obj) -> StarParams:
     _no_unknown(obj, ("r", "M", "c"), "star parameters", ("r", "M", "c"))
-    return StarParams(r=obj["r"], M=float(obj["M"]), c=float(obj["c"]))
+    return StarParams(r=_read(obj["r"], "'r'"), M=_read(obj["M"], "'M'", float),
+                      c=_read(obj["c"], "'c'", float))
 
 
 _MAP_KINDS = {"torus": ("power",), "elliptic": ("mult",),
@@ -366,8 +391,8 @@ def parse_system(obj, cfg: ExperimentConfig) -> HeightedSystem:
         raise CliError("map degree 'm' must be an integer")
     star = parse_star(obj["star"]) if "star" in obj else None
     curve = parse_curve(obj["curve"]) if "curve" in obj else None
-    return HeightedSystem(domain, m, float(obj.get("shift", 0.0)), curve,
-                          cfg.tol, star)
+    return HeightedSystem(domain, m, _read(obj.get("shift", 0.0), "'shift'", float),
+                          curve, cfg.tol, star)
 
 
 def parse_point_for(system: HeightedSystem, obj):
@@ -565,7 +590,7 @@ def _scenario_samples(scenario: dict, system: HeightedSystem) -> list:
 def cmd_prop_check(args, cfg: ExperimentConfig) -> Output:
     scenario = load_json(args.scenario)
     part = scenario.get("part") if isinstance(scenario, dict) else None
-    if part not in _PARTS:
+    if type(part) is not int or part not in _PARTS:
         raise CliError("scenario needs 'part': 1, 2, 3, or 4")
     handler, required, optional = _PARTS[part]
     _no_unknown(scenario, ("part", "name", "samples") + required + optional,
@@ -616,12 +641,12 @@ def _prop1(scenario: dict, cfg: ExperimentConfig) -> dict:
 
 def _prop2(scenario: dict, cfg: ExperimentConfig) -> dict:
     system = parse_system(scenario["system"], cfg)
-    m_prime = float(scenario["m_prime"])
+    m_prime = _read(scenario["m_prime"], "'m_prime'", float)
     report = check_prop2(
         system,
         parse_star(scenario["star"]),
         m_prime,
-        float(scenario.get("e_prime", 1.0)),
+        _read(scenario.get("e_prime", 1.0), "'e_prime'", float),
         _scenario_samples(scenario, system),
         cfg.cap,
     )
@@ -632,7 +657,8 @@ def _prop3(scenario: dict, cfg: ExperimentConfig) -> dict:
     system_f = parse_system(scenario["system_f"], cfg)
     system_g = parse_system(scenario["system_g"], cfg)
     report = check_prop3(
-        system_f, system_g, parse_star(scenario["star"]), float(scenario["d"]),
+        system_f, system_g, parse_star(scenario["star"]),
+        _read(scenario["d"], "'d'", float),
         _scenario_samples(scenario, system_f), cfg.cap,
     )
     body = report.as_dict()
@@ -651,9 +677,9 @@ def _prop4(scenario: dict, cfg: ExperimentConfig) -> dict:
         system,
         system_prime,
         parse_star(scenario["star"]),
-        float(scenario["m_prime"]),
+        _read(scenario["m_prime"], "'m_prime'", float),
         _scenario_samples(scenario, system),
-        int(scenario.get("k", 1)),
+        _read(scenario.get("k", 1), "'k'"),
         cfg.cap,
     )
     body = report.as_dict()
@@ -687,7 +713,8 @@ def _parse_relation(raw, torus_rank: int) -> CurveRelation:
         for term in eq:
             _no_unknown(term, ("coeff", "exponents"), "relation term",
                         ("coeff", "exponents"))
-            exps = tuple(int(e) for e in term["exponents"])
+            exps = tuple(_read(e, "'exponents'")
+                         for e in _read(term["exponents"], "'exponents'", list))
             terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(term["coeff"])
         equations.append(terms)
     return CurveRelation.of(equations, torus_rank)
@@ -702,24 +729,26 @@ def cmd_explore(args, cfg: ExperimentConfig) -> Output:
         ("curve", "torus_rank", "relation", "eps"),
     )
     curve = parse_curve(exp["curve"])
-    rank = int(exp["torus_rank"])
+    rank = _read(exp["torus_rank"], "'torus_rank'")
     generators = []
-    for g in exp.get("generators", []):
+    for g in _read(exp.get("generators", []), "'generators'", list):
         pt = parse_product_point(g)
         require_on_curve(curve, pt.ec)
         generators.append(pt)
+    radicals = []
+    for pair in _read(exp.get("radicals", []), "'radicals'", list):
+        r, m = _read(pair, "each of 'radicals'", list, 2)
+        radicals.append((parse_rational(r), _read(m, "m in 'radicals'")))
     config = ExploreConfig(
-        gen_bound=int(exp.get("gen_bound", 2)),
-        rou_order=int(exp.get("rou_order", 8)),
-        radicals=tuple(
-            (parse_rational(r), int(m)) for r, m in exp.get("radicals", [])
-        ),
+        gen_bound=_read(exp.get("gen_bound", 2), "'gen_bound'"),
+        rou_order=_read(exp.get("rou_order", 8), "'rou_order'"),
+        radicals=tuple(radicals),
         tol=cfg.tol,
-        max_search=int(exp.get("max_search", 200_000)),
+        max_search=_read(exp.get("max_search", 200_000), "'max_search'"),
     )
     report = explore_theorem(
         AmbientVariety(curve, rank), SubgroupGamma.of(generators, rank),
-        _parse_relation(exp["relation"], rank), float(exp["eps"]), config,
+        _parse_relation(exp["relation"], rank), _read(exp["eps"], "'eps'", float), config,
     )
     report["name"] = exp.get("name", "experiment")
     lines = [

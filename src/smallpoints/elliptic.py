@@ -677,22 +677,6 @@ class WeierstrassReduction:
     a2: Fraction
     a3: Fraction
 
-    @property
-    def x_shift(self) -> Fraction:
-        return (self.a1**2 + 4 * self.a2) / 12
-
-    def to_short(self, point: ECPoint) -> ECPoint:
-        if point.is_identity:
-            return point
-        x, y = point.x, point.y
-        return ECPoint(x + self.x_shift, y + (self.a1 * x + self.a3) / 2)
-
-    def from_short(self, point: ECPoint) -> ECPoint:
-        if point.is_identity:
-            return point
-        x = point.x - self.x_shift
-        return ECPoint(x, point.y - (self.a1 * x + self.a3) / 2)
-
 
 def from_long_weierstrass(a1, a2, a3, a4, a6) -> WeierstrassReduction:
     a1, a2, a3, a4, a6 = (Fraction(t) for t in (a1, a2, a3, a4, a6))

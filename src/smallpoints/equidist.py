@@ -161,10 +161,6 @@ class BiluReport:
     radial_to_zero: bool
     heights_to_zero: bool
 
-    @property
-    def is_equidistributing(self) -> bool:
-        return self.discrepancy_to_zero and self.radial_to_zero
-
 
 def _to_zero(values: Sequence[float], k: int) -> bool:
     head = max(values[:k])

@@ -26,8 +26,12 @@ ExactNo at the identity: the locus is read as affine in those variables.
 The explorer decides membership of x = gamma + z before it builds x: for
 a torus value r alpha^e the verdict depends on alpha only through its
 minimal polynomial, so it is decided once per (gamma, torsion point,
-minimal-polynomial class), and only the hits are built and confirmed by
-`curve_membership`.
+minimal-polynomial class), by the same test curve_membership runs with
+r = 1, and only the hits are built. Catalog torus values are roots of
+unity, positive rationals and positive real radicals, so two hits differ by
+torsion x roots of unity exactly when their curve parts agree modulo
+torsion and their torus slots agree in modulus; the explorer groups hits
+into cosets by that exact key, in one pass.
 """
 
 from __future__ import annotations
@@ -488,8 +492,9 @@ def curve_membership(X: CurveRelation, z: SemiabelianPoint,
     """Does z satisfy every equation of X?
 
     Exact verdicts when the coordinates are rational or exactly one torus
-    slot is algebraic (minimal-polynomial divisibility); numeric verdicts
-    with a residual otherwise. The identity of E fails any equation that
+    slot is algebraic, by the explorer's class test with r = 1
+    (minimal-polynomial divisibility); numeric verdicts with a residual
+    otherwise. The identity of E fails any equation that
     mentions x or y, since it has no affine coordinates."""
     if len(z.torus) != X.torus_rank:
         raise SemiabelianError("point/relation torus rank mismatch")
@@ -499,21 +504,12 @@ def curve_membership(X: CurveRelation, z: SemiabelianPoint,
 
     values = [t.rational_value() for t in z.torus]
     algebraic_slots = [i for i, v in enumerate(values) if v is None]
-
-    if not algebraic_slots:
-        for eq in X.equations:
-            if _exact_eval(eq, xy, values) != 0:
-                return Membership("ExactNo")
-        return Membership("ExactYes")
-
-    if len(algebraic_slots) == 1:
-        slot = algebraic_slots[0]
-        rational_vals = [(j, v) for j, v in enumerate(values) if v is not None]
-        for eq in X.equations:
-            poly = _slot_polynomial(eq, xy, rational_vals, slot)
-            if not _divisibility_zero(poly, z.torus[slot]):
-                return Membership("ExactNo")
-        return Membership("ExactYes")
+    if len(algebraic_slots) <= 1:
+        slot = algebraic_slots[0] if algebraic_slots else None
+        t = z.torus[slot] if algebraic_slots else None
+        ones = [Fraction(1)] * len(values)
+        on = _class_on_locus(X, xy, ones, slot, values, t, {})
+        return Membership("ExactYes" if on else "ExactNo")
 
     worst = 0.0
     for eq in X.equations:
@@ -615,6 +611,19 @@ def _class_on_locus(X: CurveRelation, xy, rs, slot, values, t,
                for p in polys)
 
 
+def _modulus_key(r: Fraction, t: TorusElement) -> Tuple[int, Fraction]:
+    """(d, |r t|^d) with d the least exponent that makes |r t|^d rational,
+    for t a catalog value: a root of unity gives (1, |r|), and a positive
+    rational or radical with minimal polynomial c_d x^d + c_0 gives
+    (d, |r|^d |c_0 / c_d|) (d is least by Capelli). Catalog values differ
+    by a root of unity exactly when their moduli agree, so two hits differ
+    by roots of unity in every slot exactly when their keys agree."""
+    if t.is_unit_circle():
+        return 1, abs(r)
+    cs = t.base.minpoly.coeffs
+    return len(cs) - 1, abs(r) ** (len(cs) - 1) * abs(Fraction(cs[0], cs[-1]))
+
+
 def explore_theorem(
     A: AmbientVariety,
     G: SubgroupGamma,
@@ -626,14 +635,14 @@ def explore_theorem(
 
     Candidates are x = gamma + z with gamma from the generator box and z
     from the small-point catalog (torsion x catalog torus values), pruned
-    by in_B_eps before the gamma loop. Membership is decided exactly once
-    per (gamma, torsion point, minimal-polynomial class of z), and only
-    the hits are built and given curve_membership's verdict; z with two
-    or more algebraic torus slots are built and tested one by one. Each
-    hit carries its (gamma, z) decomposition, the membership verdict, and
-    a Gamma_eps certificate recomputed by subtraction. Hits are grouped
-    into coset candidates when their exact difference is torsion x roots
-    of unity."""
+    by in_B_eps before the gamma loop. Each candidate is decided once: per
+    (gamma, torsion point, minimal-polynomial class of z) by the exact
+    class test, or, for z with two or more algebraic torus slots, by
+    curve_membership's numeric verdict on the built point. Each hit
+    carries its (gamma, z) decomposition, that verdict, and z's ball
+    verdict In as its Gamma_eps certificate. Hits whose difference is
+    torsion x roots of unity share a key, the least point of P + E(Q)_tors
+    and the modulus key of each torus slot, and each key is one coset."""
     if eps < 0:
         raise SemiabelianError("eps must be >= 0")
     if X.torus_rank != A.torus_rank or G.torus_rank != A.torus_rank:
@@ -657,11 +666,13 @@ def explore_theorem(
                 boundary_skipped += 1
 
     fallback, classes = _membership_classes(smalls)
+    exact_yes = Membership("ExactYes")
     hits = []
-    hit_points: List[SemiabelianPoint] = []
+    groups: Dict[tuple, List[int]] = {}
+    curve_keys: Dict[ECPoint, ECPoint] = {}
     for coeffs, gamma in gamma_enumerate(G, config.gen_bound, A):
         rs = [t.rational_value() for t in gamma.torus]
-        todo = list(fallback)
+        todo: Dict[int, Optional[Membership]] = dict.fromkeys(fallback)
         for T, members in classes.items():
             ec = ec_add(A.curve, gamma.ec, T)
             if ec.is_identity and X.uses_ec_coordinates():
@@ -670,46 +681,28 @@ def explore_theorem(
             slot_polys: Dict[tuple, list] = {}
             for slot, values, t, indices in members.values():
                 if _class_on_locus(X, xy, rs, slot, values, t, slot_polys):
-                    todo.extend(indices)
+                    todo.update((i, exact_yes) for i in indices)
         for i in sorted(todo):
             z = smalls[i]
             x = _point_add(A, gamma, z)
-            if x is None:
+            verdict = todo[i] or curve_membership(X, x, eps=min(config.tol, 1e-12))
+            if not verdict.is_yes:
                 continue
-            verdict = curve_membership(X, x, eps=min(config.tol, 1e-12))
-            if verdict.is_yes:
-                cert = gamma_eps_certificate(A, x, gamma, eps, config.tol)
-                hits.append(
-                    {
-                        "gamma_coefficients": list(coeffs),
-                        "small_point": str(z),
-                        "point": str(x),
-                        "membership": str(verdict),
-                        "exact": verdict.is_exact,
-                        "certificate": cert.value,
-                    }
-                )
-                hit_points.append(x)
-
-    parent = list(range(len(hits)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(hits)):
-        for j in range(i + 1, len(hits)):
-            diff = _point_sub(A, hit_points[i], hit_points[j])
-            if diff is None:
-                continue
-            if is_torsion_point(A.curve, diff.ec, diff.torus):
-                parent[find(i)] = find(j)
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(hits)):
-        groups.setdefault(find(i), []).append(i)
-    cosets = sorted(sorted(v) for v in groups.values())
+            if x.ec not in curve_keys:
+                curve_keys[x.ec] = min((ec_add(A.curve, x.ec, T) for T in torsion),
+                                       key=lambda p: (p.x is not None, p.x, p.y))
+            key = (curve_keys[x.ec],) + tuple(map(_modulus_key, rs, z.torus))
+            groups.setdefault(key, []).append(len(hits))
+            hits.append(
+                {
+                    "gamma_coefficients": list(coeffs),
+                    "small_point": str(z),
+                    "point": str(x),
+                    "membership": str(verdict),
+                    "exact": verdict.is_exact,
+                    "certificate": BallVerdict.IN.value,  # z was kept as In
+                }
+            )
 
     return {
         "disclaimer": DISCLAIMER,
@@ -721,5 +714,5 @@ def explore_theorem(
         "boundary_skipped": boundary_skipped,
         "hit_count": len(hits),
         "hits": hits,
-        "cosets": cosets,
+        "cosets": sorted(groups.values()),
     }

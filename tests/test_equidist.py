@@ -162,7 +162,6 @@ class TestRadial:
 class TestBiluReport:
     def test_radical_family_equidistributes(self):
         report = bilu_report([nth_root_of_2(n) for n in range(1, 61)])
-        assert report.is_equidistributing
         assert report.discrepancy_to_zero
         assert report.radial_to_zero
         assert report.heights_to_zero
@@ -171,7 +170,7 @@ class TestBiluReport:
 
     def test_constant_family_does_not(self):
         report = bilu_report([AlgebraicNumber.from_rational(Fraction(3))] * 12)
-        assert not report.is_equidistributing
+        assert not report.discrepancy_to_zero and not report.radial_to_zero
         assert not report.heights_to_zero
 
     def test_empty_rejected(self):

@@ -542,8 +542,16 @@ class TestExplorer:
 
 
 def reference_explore(A, G, X, eps, config):
-    """explore_theorem as it stood before membership was decided per Galois
-    orbit: every candidate gamma + z is built and tested by curve_membership."""
+    """explore_theorem without its shortcuts: every candidate gamma + z is
+    built, tested by curve_membership and certified by gamma_eps_certificate,
+    and every pair of hits is compared.
+
+    Hits x_i = gamma_i + z_i share a coset of torsion x roots of unity exactly
+    when P_i - P_j is torsion and |x_i| = |x_j| in every slot: each catalog
+    value is a root of unity times a positive real, so x_i / x_j is a root of
+    unity once its modulus is 1. The conjugates of a catalog value z of degree
+    d share its modulus, so |z|^d = |norm(z)|; with L the lcm of the catalog
+    degrees, |x|^L = |r|^L |norm(z)|^(L / d) for x = r z."""
     torsion = el.torsion_points(A.curve)
     torus_values = sa._catalog_torus_values(config)
     n, g = A.torus_rank, len(G.generators)
@@ -558,7 +566,8 @@ def reference_explore(A, G, X, eps, config):
                 smalls.append(z)
             elif verdict is BallVerdict.BOUNDARY:
                 boundary_skipped += 1
-    hits, hit_points = [], []
+    level = math.lcm(*(t.base.degree for t in torus_values))
+    hits, parts = [], []
     for coeffs, gamma in gamma_enumerate(G, config.gen_bound, A):
         for z in smalls:
             x = sa._point_add(A, gamma, z)
@@ -570,7 +579,9 @@ def reference_explore(A, G, X, eps, config):
                 hits.append({"gamma_coefficients": list(coeffs), "small_point": str(z),
                              "point": str(x), "membership": str(verdict),
                              "exact": verdict.is_exact, "certificate": cert.value})
-                hit_points.append(x)
+                parts.append((x.ec, tuple(abs(g_t.rational_value()) ** level
+                                          * abs(norm(z_t.base)) ** (level // z_t.base.degree)
+                                          for g_t, z_t in zip(gamma.torus, z.torus))))
     parent = list(range(len(hits)))
 
     def find(i):
@@ -579,10 +590,13 @@ def reference_explore(A, G, X, eps, config):
             i = parent[i]
         return i
 
+    torsion_diff = {}
     for i in range(len(hits)):
         for j in range(i + 1, len(hits)):
-            diff = sa._point_sub(A, hit_points[i], hit_points[j])
-            if diff is not None and sa.is_torsion_point(A.curve, diff.ec, diff.torus):
+            (p, mi), (q, mj) = parts[i], parts[j]
+            if (p, q) not in torsion_diff:
+                torsion_diff[p, q] = is_torsion(A.curve, ec_add(A.curve, p, el.ec_neg(q)))
+            if torsion_diff[p, q] and mi == mj:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(len(hits)):
@@ -592,6 +606,12 @@ def reference_explore(A, G, X, eps, config):
             "candidates_in_ball": len(smalls), "boundary_skipped": boundary_skipped,
             "hit_count": len(hits), "hits": hits,
             "cosets": sorted(sorted(v) for v in groups.values())}
+
+
+def norm(alpha):
+    """The product of alpha's conjugates, (-1)^d c_0 / c_d."""
+    cs = alpha.minpoly.coeffs
+    return Fraction((-1) ** alpha.degree * cs[0], cs[-1])
 
 
 def relation(rank, terms):
@@ -681,6 +701,34 @@ class TestMembershipByOrbit:
             hits += got["hit_count"] > 0
             numeric += any(h["membership"].startswith("Numeric") for h in got["hits"])
         assert hits >= 12 and numeric >= 1
+
+    def test_roots_of_unity_apart_share_a_coset(self):
+        # t^4 + 2t^3 + 8t^2 + 8t + 16 = (t^2 + 2t + 4)(t^2 + 4) vanishes at
+        # 2 zeta_3, 2 zeta_3^2 and +-2i: four hits, one coset
+        G = SubgroupGamma.of([pt(ECPoint.identity(), t_rat(2))])
+        X = relation(1, [{(0, 0, 4): 1, (0, 0, 3): 2, (0, 0, 2): 8, (0, 0, 1): 8,
+                          (0, 0, 0): 16}])
+        config = ExploreConfig(gen_bound=1, rou_order=12)
+        got = explore_theorem(AMBIENT, G, X, 0.1, config)
+        assert got["hit_count"] == 4 and got["cosets"] == [[0, 1, 2, 3]]
+        assert got == reference_explore(AMBIENT, G, X, 0.1, config)
+
+    def test_cosets_by_key_without_subtraction(self, monkeypatch):
+        # 480 hits of x = 3: grouped without one pairwise subtraction or
+        # recomputed certificate
+        unit = SubgroupGamma.of([pt(GEN_EC, t_rat(1)), pt(ECPoint.identity(), t_rat(3))])
+        X = relation(1, [{(1, 0, 0): 1, (0, 0, 0): -3}])
+        config = ExploreConfig(gen_bound=2, rou_order=12, radicals=((Fraction(2), 4),))
+        want = reference_explore(AMBIENT, unit, X, 0.3, config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the explorer should not call this")
+
+        monkeypatch.setattr(sa, "_point_sub", forbidden)
+        monkeypatch.setattr(sa, "gamma_eps_certificate", forbidden)
+        got = explore_theorem(AMBIENT, unit, X, 0.3, config)
+        assert got["hit_count"] == 480
+        assert got == want
 
     def test_orbit_verdict_matches_built_point(self):
         # the substituted divisibility test against curve_membership on the
