@@ -297,10 +297,6 @@ class CertifiedRoot:
     def center(self) -> mpc:
         return mpc(self.re, self.im)
 
-    def angle_unit(self) -> float:
-        """Angle in [0, 1) turns; exactly 0 or 1/2 for certified-real roots."""
-        return _angle_unit(self.re, self.im, self.is_real)
-
 
 def _abs_interval(re, im, radius):
     """(lo, hi) bounds on the modulus of the root in the disk (re + i im, radius)."""

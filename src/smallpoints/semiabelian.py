@@ -27,11 +27,15 @@ The explorer decides membership of x = gamma + z before it builds x: for
 a torus value r alpha^e the verdict depends on alpha only through its
 minimal polynomial, so it is decided once per (gamma, torsion point,
 minimal-polynomial class), by the same test curve_membership runs with
-r = 1, and only the hits are built. Catalog torus values are roots of
-unity, positive rationals and positive real radicals, so two hits differ by
-torsion x roots of unity exactly when their curve parts agree modulo
-torsion and their torus slots agree in modulus; the explorer groups hits
-into cosets by that exact key, in one pass.
+r = 1, and only the hits are built. A nonzero slot polynomial whose
+exponents span less than deg(alpha) / |e| cannot vanish at alpha, so such
+a class is rejected by degree alone, before any division (a relation of
+degree 1 in t never divides against a catalog value of degree 2 or more).
+Catalog torus values are roots of unity, positive rationals and positive
+real radicals, so two hits differ by torsion x roots of unity exactly when
+their curve parts agree modulo torsion and their torus slots agree in
+modulus; the explorer groups hits into cosets by that exact key, in one
+pass.
 """
 
 from __future__ import annotations
@@ -443,12 +447,11 @@ def _slot_polynomial(eq, xy, rational_vals, slot: int) -> Dict[int, Fraction]:
 
 
 def _divisibility_zero(poly: Dict[int, Fraction], t: TorusElement) -> bool:
-    """Does sum c_k t^k vanish, for t = alpha^e with irreducible minpoly?
+    """Does the nonzero sum c_k t^k vanish, for t = alpha^e with irreducible
+    minpoly?
 
     Vanishing at one root of an irreducible polynomial is equivalent to the
     minimal polynomial dividing, so the test is exact in both directions."""
-    if not poly:
-        return True
     # exponents of alpha itself; shift so they start at zero (alpha != 0)
     shifted = {k * t.exponent: c for k, c in poly.items()}
     low = min(shifted)
@@ -596,7 +599,10 @@ def _class_on_locus(X: CurveRelation, xy, rs, slot, values, t,
 
     The sum's slot value is r alpha^e for t = alpha^e, and P(r alpha^e) = 0
     iff minpoly(alpha) divides P(r s) at s = alpha^e: one test for the whole
-    Galois orbit, with no point built. slot_polys caches the slot
+    Galois orbit, with no point built. A nonzero P with
+    (max k - min k) |e| < deg alpha is rejected before any division: the k e
+    are distinct, so P(x^e) shifted to start at x^0 is a nonzero polynomial
+    of lower degree than minpoly(alpha). slot_polys caches the slot
     polynomials at this xy."""
     if slot is None:
         w = [r * v for r, v in zip(rs, values)]
@@ -606,8 +612,9 @@ def _class_on_locus(X: CurveRelation, xy, rs, slot, values, t,
     if polys is None:
         polys = [_slot_polynomial(eq, xy, rest, slot) for eq in X.equations]
         slot_polys[(slot, rest)] = polys
-    r = rs[slot]
-    return all(_divisibility_zero({k: c * r**k for k, c in p.items()}, t)
+    r, e, d = rs[slot], abs(t.exponent), t.base.degree
+    return all(not p or ((max(p) - min(p)) * e >= d
+                         and _divisibility_zero({k: c * r**k for k, c in p.items()}, t))
                for p in polys)
 
 

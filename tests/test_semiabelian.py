@@ -8,10 +8,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpc, mpf
 
 import smallpoints.elliptic as el
 import smallpoints.semiabelian as sa
-from smallpoints.algebraic import TorusElement, radical, root_of_unity, torus_height
+from smallpoints.algebraic import (
+    IntPolynomial,
+    TorusElement,
+    radical,
+    root_of_unity,
+    torus_height,
+)
 from smallpoints.dynamics import (
     HeightedSystem,
     StarParams,
@@ -773,3 +780,96 @@ class TestMembershipByOrbit:
                     verdicts.add(got)
                 assert curve_membership(relation(1, [planted]), x).is_yes
         assert verdicts == {True, False}
+
+    def test_degree_rejection_matches_divisibility(self):
+        # the class decider, which rejects a nonzero P with span(P) |e| <
+        # deg alpha before it divides, against _divisibility_zero on the same
+        # scaled polynomial; planted zeros sit at span(P) |e| = deg alpha
+        rng = random.Random(12)
+        alphas = [root_of_unity(n, rng.choice([k for k in range(1, n)
+                                               if math.gcd(n, k) == 1]))
+                  for n in range(3, 13)]
+        alphas += [radical(Fraction(p), m) for p in (2, 3, 5) for m in range(2, 6)]
+        seen = set()
+        for alpha in alphas:
+            d, f = alpha.degree, alpha.minpoly.coeffs
+            enc = alpha.enclosure(1e-50)
+            for e in (1, -1, 2, -2, 3, -3):
+                t = TorusElement(alpha, e)
+                r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                polys = []
+                for _ in range(4):
+                    low, span = rng.randint(-3, 3), rng.randint(0, d + 1)
+                    ks = {low, low + span} | {rng.randint(low, low + span) for _ in range(2)}
+                    polys.append({k: Fraction(rng.choice((-3, -2, -1, 1, 2, 5)),
+                                              rng.randint(1, 4)) for k in ks})
+                if all(i % abs(e) == 0 for i, a in enumerate(f) if a):
+                    # f(x) = h(x^|e|), so h((t / r)^sign(e)) vanishes at
+                    # t = r alpha^e, with span d / |e|; and times (t - q)
+                    sign = 1 if e > 0 else -1
+                    planted = {}
+                    for i, a in enumerate(f):
+                        if a:
+                            k = sign * (i // abs(e))
+                            planted[k] = Fraction(a) / r**k
+                    q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                    cofactor = {}
+                    for k, c in planted.items():
+                        cofactor[k + 1] = cofactor.get(k + 1, 0) + c
+                        cofactor[k] = cofactor.get(k, 0) - q * c
+                    polys += [planted, {k: c for k, c in cofactor.items() if c}]
+                for P in polys:
+                    X = relation(1, [{(0, 0, k): c for k, c in P.items()}])
+                    scaled = {k: c * r**k for k, c in P.items()}
+                    got = sa._class_on_locus(X, (Fraction(0),) * 2, [r], 0, [None], t, {})
+                    assert got == sa._divisibility_zero(scaled, t), (alpha, e, r, P)
+                    span = (max(P) - min(P)) * abs(e)
+                    seen.add((got, "<" if span < d else "=" if span == d else ">"))
+                    if got:
+                        with mp.workdps(60):
+                            s = (mpf(r.numerator) / r.denominator) * mpc(enc.re, enc.im) ** e
+                            terms = [mpf(c.numerator) / c.denominator * s**k
+                                     for k, c in P.items()]
+                            assert abs(sum(terms)) <= mpf(10) ** -40 * sum(map(abs, terms))
+                # a slot polynomial that vanishes identically: x t - 3 t at x = 3
+                X = relation(1, [{(1, 0, 1): 1, (0, 0, 1): -3}])
+                assert sa._class_on_locus(X, (Fraction(3), Fraction(5)), [r], 0, [None], t, {})
+        assert seen == {(False, "<"), (False, "="), (False, ">"), (True, "="), (True, ">")}
+
+    def test_degree_rejects_before_division(self, monkeypatch):
+        # t = 3/5 has degree 1 in t: every algebraic class is rejected by
+        # degree, and the one hit, gamma = (3, 5) - (O, 5) with z = 1, is
+        # found without a division by a minimal polynomial
+        G = SubgroupGamma.of([pt(GEN_EC, t_rat(3)), pt(ECPoint.identity(), t_rat(5))])
+        X = relation(1, [{(0, 0, 1): 1, (0, 0, 0): Fraction(-3, 5)}])
+        config = ExploreConfig(gen_bound=2, rou_order=12, radicals=((Fraction(2), 4),))
+        want = reference_explore(AMBIENT, G, X, 0.3, config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a degree-1 relation should not reach divides")
+
+        monkeypatch.setattr(IntPolynomial, "divides", forbidden)
+        got = explore_theorem(AMBIENT, G, X, 0.3, config)
+        assert [(h["gamma_coefficients"], h["membership"]) for h in got["hits"]] == [
+            ([1, -1], "ExactYes")]
+        assert got == want
+
+    def test_quadratic_relation_still_divides(self, monkeypatch):
+        # t^2 = 2 has degree 2, as 2^(1/2), i and zeta_3 do: the general
+        # divisibility test still decides those classes, and finds 2^(1/2)
+        G = SubgroupGamma.of([pt(GEN_EC, t_rat(3)), pt(ECPoint.identity(), t_rat(5))])
+        X = relation(1, [{(0, 0, 2): 1, (0, 0, 0): -2}])
+        config = ExploreConfig(gen_bound=2, rou_order=12, radicals=((Fraction(2), 4),))
+        want = reference_explore(AMBIENT, G, X, 0.4, config)
+        divides, calls = IntPolynomial.divides, []
+
+        def counted(self, other):
+            calls.append(self)
+            return divides(self, other)
+
+        monkeypatch.setattr(IntPolynomial, "divides", counted)
+        got = explore_theorem(AMBIENT, G, X, 0.4, config)
+        assert IntPolynomial((-2, 0, 1)) in calls
+        assert [(h["gamma_coefficients"], h["small_point"], h["membership"])
+                for h in got["hits"]] == [([0, 0], "(O; (root#1 of [-2,0,1])^1)", "ExactYes")]
+        assert got == want
