@@ -901,13 +901,14 @@ _COMMANDS = {
 }
 
 # the first row whose types match an error gives its exit code; every
-# library error and CliError is a ValueError
+# library error and CliError is a ValueError, and an input too large for a
+# float raises OverflowError
 _EXIT_CODES = (
     (SearchSpaceError, EXIT_SEARCH_SPACE),
     (OffCurveError, EXIT_OFF_CURVE),
     ((InconclusiveComparisonError, SearchBudgetError, RootRefinementError),
      EXIT_INCONCLUSIVE),
-    ((ValueError, OSError), EXIT_PARSE),
+    ((ValueError, OSError, OverflowError), EXIT_PARSE),
 )
 
 
@@ -922,7 +923,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = _COMMANDS[args.command](args, cfg)
         emit(out, cfg)
         return out.code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

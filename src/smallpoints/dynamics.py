@@ -17,20 +17,23 @@ notion does not depend on the choices made:
   4) for psi intertwining f and f' (psi f = f' psi), alpha > 1 bounding
      h'(psi(z)) < alpha h(z), and M' > alpha M:  N'(psi(z)) >= N(z).
 
-Heights are evaluated exactly up to certified error; threshold comparisons
-escalate precision and raise rather than return a wrong N. Supported domains
-are the multiplicative group (z -> z^m on symbolic torus elements, height
-|exponent| * h(base)), elliptic curves (P -> mP with the canonical height,
-which scales by m^2 exactly), and their product (componentwise, mixed
-linear/quadratic growth). A shift delta turns h into h + delta; several of
-the strict bounds above only exist when delta > 0, mirroring the usual
-normalization that heights exceed a positive constant.
+Heights are evaluated exactly up to certified error, and the grown heights
+m^N h with their error bands meet thresholds as exact rationals (a float is
+one, m^N an integer), so no N is too large to decide; an ambiguous
+comparison escalates precision and raises rather than return a wrong N.
+Supported domains are the multiplicative group (z -> z^m on symbolic torus
+elements, height |exponent| * h(base)), elliptic curves (P -> mP with the
+canonical height, which scales by m^2 exactly), and their product
+(componentwise, mixed linear/quadratic growth). A shift delta turns h into
+h + delta; several of the strict bounds above only exist when delta > 0,
+mirroring the usual normalization that heights exceed a positive constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebraic import TorusElement
@@ -167,7 +170,7 @@ def is_preperiodic(system: HeightedSystem, z: Point) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _exceeds(value: float, err: float, threshold: float) -> Optional[bool]:
+def _exceeds(value, err, threshold) -> Optional[bool]:
     """value > threshold given |true - value| <= err; None if ambiguous."""
     if value - err > threshold:
         return True
@@ -186,22 +189,14 @@ def n_from_components(
     preperiodic: bool,
 ) -> "NValue":
     """Smallest N >= 1 with m^(2N) hq + m^N hl + shift > M, from certified
-    component heights (value, error). The backbone for mixed products."""
+    component heights (value, error), grown as exact rationals so that no
+    step overflows or rounds. The backbone for mixed products."""
     if preperiodic:
         return NValue.preperiodic()
-    hq, eq = quadratic
-    hl, el = linear
+    hq, eq, hl, el, shift = map(Fraction, (*quadratic, *linear, shift))
     for n in range(1, cap + 1):
-        if 2 * n * math.log(m) > 345.0:
-            # past float range; the certified lower part decides alone
-            if hq - eq > 0 or (hq == 0 and hl - el > 0):
-                return NValue.finite(n)
-            raise InconclusiveComparisonError(
-                "height grew past float range with an uncertified sign"
-            )
-        val = float(m) ** (2 * n) * hq + float(m) ** n * hl + shift
-        err = float(m) ** (2 * n) * eq + float(m) ** n * el
-        verdict = _exceeds(val, err, M)
+        mn = m**n
+        verdict = _exceeds(mn * (mn * hq + hl) + shift, mn * (mn * eq + el), M)
         if verdict is None:
             raise InconclusiveComparisonError(
                 f"height vs threshold M={M} ambiguous at step {n}; "
@@ -322,39 +317,37 @@ def verify_star(
     checked individually with their exact component growth (vacuous for
     h_delta <= M), so a bad configuration also produces concrete witnesses."""
     star = _star_of(system, star)
-    G = system.growth_low
-    Gr = G**star.r
-    delta = system.shift
-    analytic_ok = star.c < Gr and (Gr - star.c) * star.M >= (Gr - 1) * delta
+    Gr = system.growth_low**star.r
+    c, M, delta = map(Fraction, (star.c, star.M, system.shift))
+    analytic_ok = c < Gr and (Gr - c) * M >= (Gr - 1) * delta
 
-    mq = float(system.m) ** (2 * star.r)
-    ml = float(system.m) ** star.r
+    ml = system.m**star.r
     violations = []
     checked = vacuous = 0
     for z in samples:
-        hq, eq, hl, el, zero = height_parts(*_parts(system, z), system.tol)
+        *parts, _ = height_parts(*_parts(system, z), system.tol)
+        hq, eq, hl, el = map(Fraction, parts)
         hd = hq + hl + delta
         err = eq + el
-        above = _exceeds(hd, err, star.M)
+        above = _exceeds(hd, err, M)
         if above is None:
             raise InconclusiveComparisonError(f"sample {z} sits on the threshold M")
         if not above:
             vacuous += 1
             continue
         checked += 1
-        lhs = mq * hq + ml * hl + delta
-        rhs = star.c * hd
-        margin = mq * eq + ml * el + star.c * err
-        if not lhs - margin > rhs:
-            if lhs + margin > rhs:
-                raise InconclusiveComparisonError(
-                    f"(*) marginal on sample {z}; refine tolerances"
-                )
-            violations.append(
-                {"sample": str(z), "lhs": lhs, "rhs": rhs, "height": hd}
+        lhs = ml * (ml * hq + hl) + delta
+        rhs = c * hd
+        grows = _exceeds(lhs, ml * (ml * eq + el) + c * err, rhs)
+        if grows is None:
+            raise InconclusiveComparisonError(
+                f"(*) marginal on sample {z}; refine tolerances"
             )
+        if not grows:
+            violations.append({"sample": str(z), "lhs": float(lhs),
+                               "rhs": float(rhs), "height": float(hd)})
     holds = analytic_ok and not violations
-    return StarReport(holds, analytic_ok, checked, vacuous, violations, delta)
+    return StarReport(holds, analytic_ok, checked, vacuous, violations, system.shift)
 
 
 # ---------------------------------------------------------------------------

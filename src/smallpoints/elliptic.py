@@ -23,6 +23,8 @@ modulo l^K, and the height is an exact sum of multiples of log 2 and of
 the log l, plus one final log. The exact prefix uses the same fact: g_k is
 coprime to q (F = p^4 mod q, gcd(p, q) = 1) and divides R1 q^7, so it is
 gcd(R1, F mod R1, G mod R1), a reduction instead of a full-width gcd.
+Only the step n where tail and ball width meet the tolerance is evaluated:
+the certificate is that one value and its error bound.
 
 Torsion is decided by Nagell-Lutz without the group law: on the integral
 model a torsion point has integer coordinates with y = 0 or
@@ -57,7 +59,6 @@ __all__ = [
     "ec_mul",
     "naive_height",
     "canonical_height",
-    "canonical_height_estimates",
     "is_torsion",
     "torsion_points",
     "duplication_envelope",
@@ -255,9 +256,6 @@ class DuplicationEnvelope:
     C: float
     R1: int
     R2: int
-    D1: int
-    D2: int
-    C_upper: float
     R1_factors: Tuple[Tuple[int, int], ...]
     witnesses: Tuple[int, ...]
 
@@ -307,11 +305,8 @@ def _envelope_cached(A: int, B: int) -> DuplicationEnvelope:
         C = float(
             max(mp.log(c_upper), mp.log(D1), mp.log(mpf(D2) * R1 / R2)) * (1 + mpf(1e-12))
         )
-    return DuplicationEnvelope(
-        C=C, R1=R1, R2=R2, D1=D1, D2=D2, C_upper=float(mp.log(c_upper)),
-        R1_factors=tuple(_factor(R1).items()),
-        witnesses=tuple(_witness_primes(R1)),
-    )
+    return DuplicationEnvelope(C, R1, R2, tuple(_factor(R1).items()),
+                               tuple(_witness_primes(R1)))
 
 
 def duplication_envelope(curve: EllipticCurveQ) -> DuplicationEnvelope:
@@ -535,8 +530,9 @@ def _ball_forms(A, B, ph, qh, w):
     return F, G
 
 
-def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=False):
-    """Certified 4^(-n) h_n with n chosen so tail + evaluation error <= tol."""
+def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float) -> Tuple[float, float]:
+    """Certified 4^(-n) h_n with n chosen so tail + evaluation error <= tol:
+    (value, error bound)."""
     env = _envelope_cached(A, B)
     R1 = env.R1
     # internal target stricter than tol so m^2-linear combinations of
@@ -546,7 +542,6 @@ def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=
     prefix_bits = _PREFIX_BITS
     while True:
         p, q = p0, q0
-        estimates = [math.log(max(abs(p), q))] if want_estimates else None
         k = 0
         while k < n_target and max(abs(p).bit_length(), q.bit_length()) <= prefix_bits:
             F, G = _dup_forms(A, B, p, q)
@@ -558,18 +553,12 @@ def _hybrid_height(A: int, B: int, p0: int, q0: int, tol: float, want_estimates=
             if q < 0:
                 p, q = -p, -q
             k += 1
-            if want_estimates:
-                estimates.append(math.log(max(abs(p), q)) / 4**k)
         try:
             for dps in (60, 120, 240, 480):
                 box = _interval_continue(A, B, p, q, k, n_target, env, dps)
                 if box is None or (width := float(mp.mpf(box.delta))) > tol / 4:
                     continue
-                if want_estimates:  # the same balls, stopped at each n
-                    boxes = [_interval_continue(A, B, p, q, k, n, env, dps)
-                             for n in range(k + 1, n_target + 1)]
-                    estimates += [float(mp.mpf(b.mid)) for b in boxes]
-                return float(mp.mpf(box.mid)), env.C / (3 * 4**n_target) + width, estimates, env
+                return float(mp.mpf(box.mid)), env.C / (3 * 4**n_target) + width
             reason = "interval continuation would not certify the requested tolerance"
         except _SuspectedExactZero:
             if prefix_bits * 4 <= _PREFIX_BITS_MAX:
@@ -606,17 +595,6 @@ def _integral_x(curve: EllipticCurveQ, point: ECPoint) -> Tuple[int, int, int, i
     icurve, u = curve.integral_model()
     x = point.x * u * u
     return int(icurve.a), int(icurve.b), x.numerator, x.denominator
-
-
-def canonical_height_estimates(
-    curve: EllipticCurveQ, point: ECPoint, tol: float = 1e-8
-) -> List[float]:
-    """The convergents 4^(-n) h_n, n = 0..n_target; diagnostics for the
-    envelope bound |e_{n+1} - e_n| <= C/4^(n+1)."""
-    require_on_curve(curve, point)
-    if point.is_identity or is_torsion(curve, point):
-        return [0.0]
-    return _hybrid_height(*_integral_x(curve, point), tol, want_estimates=True)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,14 @@ TORUS_SYSTEM = {
 
 def _fixtures() -> dict:
     explore = json.loads((SCENARIOS / "explore_t1_equals_2.json").read_text())
+    part1 = json.loads((SCENARIOS / "part1_comparable_heights.json").read_text())
     return {
         "curve.json": {"a": "0", "b": "-2"},
         "P.json": {"x": "3", "y": "5"},
         "O.json": "O",
         "off.json": {"x": "3", "y": "4"},
         "system.json": TORUS_SYSTEM,
+        "far.json": dict(TORUS_SYSTEM, star={"r": 1, "M": 1e200, "c": 1.9}),
         "esys.json": {
             "domain": "elliptic", "map": {"kind": "mult", "m": 2},
             "shift": 0.0, "star": {"r": 1, "M": 1.0, "c": 1.9},
@@ -69,6 +71,7 @@ def _fixtures() -> dict:
         "big.json": dict(explore, max_search=50),
         "unpaired.json": dict(explore, radicals=[5]),
         "null-m.json": {"radical": ["2", None]},
+        "part1-r600.json": dict(part1, star=dict(part1["star"], r=600)),
     }
 
 
@@ -133,6 +136,8 @@ NFUNC = [
       "P.json", "--point", "O.json"]),
     ("nfunc-product-text",
      ["nfunc", "--system", "psys.json", "--point", "prod.json"]),
+    ("nfunc-far-threshold-text",
+     ["--cap", "1000", "nfunc", "--system", "far.json", "--point", "3/2"]),
 ]
 
 EQUIDIST = [
@@ -157,6 +162,9 @@ PROP_CHECK = [
     for name in ("part1_comparable_heights", "part2_threshold_shift",
                  "part3_commuting_maps", "part4_factor_inclusion")
     for fmt in ("text", "json")
+] + [
+    ("prop-check-part1-r600-json",
+     ["--format", "json", "prop-check", "--scenario", "part1-r600.json"]),
 ]
 
 EXPLORE = [
@@ -192,6 +200,8 @@ FAILING = [
     ("exit1-unpaired-radical", ["explore", "--experiment", "unpaired.json"]),
     ("exit1-null-radical-m",
      ["nfunc", "--system", "system.json", "--algebraic", "null-m.json"]),
+    ("exit1-exponent-overflow",
+     ["height", "--rational", "2", "--exponent", str(10**400)]),
     ("exit2-search-space", ["explore", "--experiment", "big.json"]),
     ("exit3-off-curve",
      ["height", "--curve", "curve.json", "--point", "off.json"]),

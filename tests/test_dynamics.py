@@ -102,6 +102,15 @@ class TestVerifyStar:
         report = verify_star(SQUARING, STAR_HALF, [z])
         assert report.vacuous == 1 and report.checked == 0
 
+    def test_large_r_is_exact(self):
+        # G^r = 2^600 is past float range; c is compared with it exactly
+        shifted = HeightedSystem("torus", 2, 2.0)
+        z = TorusElement.from_rational(Fraction(16))
+        report = verify_star(shifted, StarParams(600, 3.0, 1.5), [z])
+        assert report.holds and report.checked == 1
+        assert verify_star(SQUARING, StarParams(600, 0.5, 2.0**599), [z]).holds
+        assert not verify_star(SQUARING, StarParams(600, 0.5, 2.0**600)).analytic_ok
+
     def test_elliptic(self):
         report = verify_star(DOUBLING, StarParams(1, 0.5, 3.9), [GEN])
         assert report.holds and report.checked == 1
@@ -177,8 +186,36 @@ class TestComponents:
         assert got == NValue.preperiodic()
 
     def test_overflow_guard(self):
-        got = n_from_components((0.0, 0.0), (1e-9, 1e-12), 10, 0.0, 1e300, 2000, False)
-        assert got.is_finite
+        # 10^309 (1e-9 +- 1e-12) straddles M = 1e300: no N can be certified
+        with pytest.raises(InconclusiveComparisonError):
+            n_from_components((0.0, 0.0), (1e-9, 1e-12), 10, 0.0, 1e300, 2000, False)
+        got = n_from_components((0.0, 0.0), (1e-9, 1e-12), 10, 0.0, 2e300, 2000, False)
+        assert got == NValue.finite(310)
+
+    def test_far_threshold_torus(self):
+        # h = (log 3)/200 and 2^N h > 1e200 first at N = 672 (2^671 h is
+        # 0.54e200); a sign test past float range said 249
+        z = TorusElement(radical(Fraction(3, 2), 200))
+        got = n_function(SQUARING, z, StarParams(1, 1e200, 1.9), cap=1000)
+        assert got == NValue.finite(672)
+
+    def test_far_threshold_elliptic(self):
+        # hhat(3, 5) = 1.3496 and 4^N hhat > 1e200 first at N = 332 (4^331
+        # hhat is 0.26e200)
+        got = n_function(DOUBLING, GEN, StarParams(1, 1e200, 1.9), cap=1000)
+        assert got == NValue.finite(332)
+
+    def test_exact_threshold_past_float_range(self):
+        # 2^700 * 1 equals M = 2^700 exactly, so N is the next step
+        got = n_from_components((0.0, 0.0), (1.0, 0.0), 2, 0.0, 2.0**700, 1000, False)
+        assert got == NValue.finite(701)
+
+    def test_band_straddling_threshold_raises(self):
+        with pytest.raises(InconclusiveComparisonError):
+            n_from_components((0.0, 0.0), (1.0, 0.1), 2, 0.0, 2.0, 64, False)
+        # the same far past float range: 2^700 (1 +- 1e-3) straddles 2^700
+        with pytest.raises(InconclusiveComparisonError):
+            n_from_components((0.0, 0.0), (1.0, 1e-3), 2, 0.0, 2.0**700, 1000, False)
 
 
 class TestPreperiodic:

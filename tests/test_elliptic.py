@@ -14,7 +14,6 @@ from smallpoints.elliptic import (
     OffCurveError,
     SingularCurveError,
     canonical_height,
-    canonical_height_estimates,
     duplication_envelope,
     ec_add,
     ec_mul,
@@ -170,17 +169,34 @@ class TestCanonicalHeight:
         assert canonical_height(E_MINUS2, GEN) > 1e-3
 
     def test_estimates_contract(self):
+        # e_n = log max(|p_n|, q_n) / 4^n on the exact duplication orbit;
+        # n stops at 10 because 2^11 P already has 8 million bits
         env = duplication_envelope(E_MINUS2)
-        ests = canonical_height_estimates(E_MINUS2, GEN, 1e-8)
-        assert len(ests) >= 10
+        A, B, p, q = el._integral_x(E_MINUS2, GEN)
+        ests = [math.log(max(abs(p), q))]
+        for n in range(1, 11):
+            F, G = el._dup_forms(A, B, p, q)
+            g = math.gcd(env.R1, F % env.R1, G % env.R1)
+            p, q = F // g, G // g
+            if q < 0:
+                p, q = -p, -q
+            ests.append(math.log(max(abs(p), q)) / 4**n)
         for n in range(len(ests) - 1):
-            assert abs(ests[n + 1] - ests[n]) <= env.C / 4 ** (n + 1) + 1e-9
-        assert abs(ests[0] - naive_height(GEN)) < 1e-9
-        assert abs(ests[-1] - HHAT_GEN) < 1e-6
-        # n = 0..n_target, also when the exact prefix reaches n_target
-        for tol in (1e-8, 1e-2):
-            n_target = TestBallContinuation.continuation_start(E_MINUS2, GEN, tol)[5]
-            assert len(canonical_height_estimates(E_MINUS2, GEN, tol)) == n_target + 1
+            assert abs(ests[n + 1] - ests[n]) <= env.C / 4 ** (n + 1)
+        assert ests[0] == naive_height(GEN)
+        assert abs(ests[-1] - HHAT_ORACLE_10) < 1e-15
+        # the tail bound after n = 10 steps, plus HHAT_GEN's own 1e-8
+        assert abs(ests[-1] - HHAT_GEN) <= env.C / (3 * 4**10) + 1e-8
+
+    def test_exact_prefix_finish(self):
+        # at tol 1e-2 the exact prefix reaches n_target: no ball step runs
+        tol = 1e-2
+        k, n_target = TestBallContinuation.continuation_start(E_MINUS2, GEN, tol)[4:6]
+        assert k == n_target
+        value, err = el._hybrid_height(*el._integral_x(E_MINUS2, GEN), tol)
+        assert err <= tol
+        assert abs(value - HHAT_GEN) <= tol
+        assert canonical_height(E_MINUS2, GEN, tol) == value
 
     def test_model_rescaling_invariance(self):
         # same curve written with rational coefficients: a -> a/u^4, b -> b/u^6
@@ -693,10 +709,10 @@ class TestBallContinuation:
         for curve, point in self.CASES[3::7]:
             args = el._integral_x(curve, point)
             for tol in self.TOLS:
-                got, got_err = el._hybrid_height(*args, tol)[:2]
+                got, got_err = el._hybrid_height(*args, tol)
                 with monkeypatch.context() as m:
                     m.setattr(el, "_interval_continue", reference_continue)
-                    want, want_err = el._hybrid_height(*args, tol)[:2]
+                    want, want_err = el._hybrid_height(*args, tol)
                 assert abs(got - want) <= min(got_err, want_err)
 
     def test_balls_hold_every_point(self):
