@@ -345,6 +345,27 @@ def _mp_rows(t: _RootTable, rows=slice(None)):
     return zip(*cols, t.real[rows].tolist())
 
 
+def _conjugate_rows(t: _RootTable):
+    """(i, re, im, radius, is_real, paired) for the real rows of t and one
+    row of each complex-conjugate pair, as in _mp_rows; paired marks those.
+
+    A table with lex set and mult None was certified by _geometry: every
+    real-part group is one real root or one conjugate pair, and a non-real
+    disk misses its own mirror image, so |im| > radius. So each pair sits
+    in adjacent rows, im < 0 first, and the root in the mirror image of the
+    im > 0 disk (the row yielded) is its conjugate. Any other table, or one
+    whose rows do not split that way into reals and pairs, yields every row
+    with paired False."""
+    n = len(t.re)
+    if t.lex and t.mult is None:
+        real, im = t.real, t.im
+        top = np.flatnonzero(~real[:-1] & ~real[1:] & (im[:-1] < 0) & (im[1:] > 0)) + 1
+        if 2 * len(top) + np.count_nonzero(real) == n:
+            rows = np.sort(np.concatenate([np.flatnonzero(real), top]))
+            return ((i, *row, not row[3]) for i, row in zip(rows.tolist(), _mp_rows(t, rows)))
+    return ((i, *row, False) for i, row in enumerate(_mp_rows(t)))
+
+
 def _roots_of(t: _RootTable, rows=slice(None)) -> list:
     """CertifiedRoot objects for the rows (a slice) of t."""
     return [
@@ -723,8 +744,10 @@ def mahler_log(
     """log Mahler measure log|c_d| + sum log+|root_i|, with error bound.
 
     The error bound comes from the root enclosure radii; enclosures are
-    refined until the bound is at most tol. trusted_squarefree is passed
-    on to roots().
+    refined until the bound is at most tol. Where the root table is
+    certified lexicographic, each complex-conjugate pair is bounded once,
+    from its im > 0 disk, and counted twice (see _conjugate_rows).
+    trusted_squarefree is passed on to roots().
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
@@ -742,8 +765,7 @@ def mahler_log(
         with mp.workdps(60):
             lo = _log_int(abs(p.leading))
             hi = lo + abs(lo) * mpf(2) ** (-120)
-            for i, (re, im, rad, _) in enumerate(_mp_rows(t)):
-                alo, ahi = _abs_interval(re, im, rad)
+            for i, re, im, rad, _, paired in _conjugate_rows(t):
                 if t.exact is not None and t.exact[i] is not None:
                     q = abs(t.exact[i])
                     if q > 1:
@@ -751,10 +773,13 @@ def mahler_log(
                         lo += lq * (1 - mpf(2) ** (-120))
                         hi += lq * (1 + mpf(2) ** (-120))
                     continue
+                # a conjugate pair shares its modulus, so its row counts twice
+                w = 2 if paired else 1
+                alo, ahi = _abs_interval(re, im, rad)
                 if ahi > 1:
-                    hi += mp.log(ahi)
+                    hi += w * mp.log(ahi)
                 if alo > 1:
-                    lo += mp.log(alo)
+                    lo += w * mp.log(alo)
             err = float((hi - lo) / 2)
             val = float((hi + lo) / 2)
             prec = mp.prec
@@ -1052,8 +1077,15 @@ def torus_power(t: TorusElement, k: int) -> TorusElement:
 
 
 def torus_height(t: TorusElement, tol: float = 1e-12) -> float:
-    """h(base^exponent) = |exponent| * h(base), exactly by symbolic scaling."""
+    """h(base^exponent) = |exponent| * h(base), exactly by symbolic scaling.
+
+    Raises OverflowError when |exponent| or that product is beyond float
+    range."""
     if t.exponent == 0:
         return 0.0
     scale = abs(t.exponent)
-    return scale * weil_height(t.base, tol / scale)
+    # tol / scale and scale * h convert scale to float, which overflows near 2^1024
+    value = scale * weil_height(t.base, tol / scale) if scale.bit_length() < 1024 else math.inf
+    if value == math.inf:
+        raise OverflowError("|exponent| * h(base) is beyond float range")
+    return value

@@ -420,7 +420,10 @@ def cmd_height(args, cfg: ExperimentConfig) -> Output:
     if flag == "--curve/--point":
         return _curve_height(args, cfg)
     t = torus_power(_read_flag(flag, literal), args.exponent)
-    value = torus_height(t, cfg.tol)
+    try:
+        value = torus_height(t, cfg.tol)
+    except OverflowError as exc:
+        raise CliError(f"--exponent has {t.exponent.bit_length()} bits: {exc}") from None
     payload = {"kind": "weil" if t.exponent == 1 else "torus", "input": str(t),
                "height": value, "tol": cfg.tol}
     return Output(payload, [f"h({t}) = {fmt_float(value)}"])

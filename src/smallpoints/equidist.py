@@ -11,9 +11,12 @@ certified accuracy, and computes the standard test statistics:
 
 Koksma's inequality bounds each Weyl sum by 4 k D*_N, which the tests
 exercise. Angles come from certified root enclosures: real conjugates get
-exact angle 0 or 1/2, and a complex-conjugate pair contributes the exact
-mirror pair (theta, 1 - theta). Enclosures are refined until the sorted
-angle order is certified, so orbit statistics are deterministic.
+exact angle 0 or 1/2. Where the root order is certified lexicographic, a
+complex-conjugate pair is measured once, from the disk with im > 0, and
+its conjugate enters as the mirror (1 - theta) with the same modulus, so
+the measure is symmetric under z -> conj(z) exactly; other root tables
+are measured root by root. Enclosures are refined until the sorted angle
+order is certified, so orbit statistics are deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .algebraic import (
-    AlgebraicNumber, _abs_interval, _angle_unit, _ContextError, _mp_rows, _root_table, weil_height,
+    AlgebraicNumber, _abs_interval, _angle_unit, _conjugate_rows, _ContextError, _root_table,
+    weil_height,
 )
 
 __all__ = [
@@ -76,9 +80,15 @@ class EmpiricalAngleMeasure:
 
 
 def _measure_at(minpoly, eps: float):
-    """One certification pass: per-root (angle, angle_err, log r, err)."""
+    """One certification pass: per-root (angle, angle_err, log r, err).
+
+    Each complex-conjugate pair that _conjugate_rows yields once is
+    measured from its im > 0 disk, angle theta in (0, 1/2). The conjugate
+    lies in the mirror image of that disk, which has the same modulus bounds
+    and mirrored angle bounds, so it enters as (1 - theta) with the same
+    errors and log-modulus."""
     entries = []
-    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps, True)):
+    for _, re, im, rad, real, paired in _conjugate_rows(_root_table(minpoly, eps, True)):
         lo, hi = _abs_interval(re, im, rad)
         if not lo > 0:
             return None  # enclosure touches 0; angle undefined there
@@ -86,6 +96,8 @@ def _measure_at(minpoly, eps: float):
         a_err = 0.0 if real else float(rad) / lo / (2 * math.pi)
         llo, lhi = math.log(lo), math.log(hi)
         entries.append((theta, a_err, (llo + lhi) / 2, (lhi - llo) / 2))
+        if paired:
+            entries.append((1 - theta,) + entries[-1][1:])
     entries.sort(key=lambda t: (t[0], t[2]))
     return entries
 

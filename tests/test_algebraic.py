@@ -125,6 +125,32 @@ class TestMahler:
         assert m.error <= 1e-6
         assert abs(m.value - LEHMER_MAHLER) <= m.error + 1e-15
 
+    def test_pairs_match_all_rows(self, monkeypatch):
+        # each conjugate pair counted twice from one row, against the walk
+        # over every row; x^4 + 3x^2 + 1 (roots on the imaginary axis) is
+        # not lexicographic and takes that walk itself
+        polys = [LEHMER, IntPolynomial((-1, -1, 0, 0, 0, 1)), IntPolynomial((1, 0, 3, 0, 1)),
+                 IntPolynomial((7, -3, 0, 2, 5, -1, 4))]
+        got = [mahler_log(p, 1e-12) for p in polys]
+        monkeypatch.setattr(algebraic, "_conjugate_rows", _every_row)
+        for p, m in zip(polys, got):
+            ref = mahler_log(p, 1e-12)
+            assert abs(m.value - ref.value) <= m.error + ref.error, p
+
+    def test_multiplicities_walk_every_row(self, monkeypatch):
+        # (x^2+2)^2 (x^2+x+3): the root table has mult set, so no row is
+        # paired; M = sqrt(2)^4 * sqrt(3)^2 = 12
+        p = IntPolynomial((2, 0, 1)) * IntPolynomial((2, 0, 1)) * IntPolynomial((3, 1, 1))
+        m = mahler_log(p, 1e-12, trusted_squarefree=False)
+        assert abs(m.value - math.log(12)) <= m.error + 1e-15
+        assert algebraic._root_table(p, 1e-9, False).mult is not None
+        monkeypatch.setattr(algebraic, "_conjugate_rows", _every_row)
+        assert mahler_log(p, 1e-12, trusted_squarefree=False) == m
+
+
+def _every_row(t):
+    return ((i, *row, False) for i, row in enumerate(algebraic._mp_rows(t)))
+
 
 class TestRoots:
     def test_count_and_radius(self):
@@ -324,6 +350,12 @@ class TestTorus:
         assert TorusElement(root_of_unity(7), 3).is_unit_circle()
         assert not TorusElement(radical(2, 3)).is_unit_circle()
         assert torus_height(TorusElement(root_of_unity(7), 5)) == 0.0
+
+    def test_height_beyond_float_range(self):
+        assert torus_height(TorusElement.from_rational(2, 2**1022)) == 2**1022 * math.log(2)
+        for base, e in ((20, 2**1023), (2, 10**400), (2, -(10**400))):
+            with pytest.raises(OverflowError):
+                torus_height(TorusElement.from_rational(base, e))
 
     def test_zero_base_rejected(self):
         with pytest.raises(AlgebraicError):

@@ -202,6 +202,8 @@ FAILING = [
      ["nfunc", "--system", "system.json", "--algebraic", "null-m.json"]),
     ("exit1-exponent-overflow",
      ["height", "--rational", "2", "--exponent", str(10**400)]),
+    ("exit1-exponent-infinite-height",
+     ["height", "--rational", "20", "--exponent", str(2**1023)]),
     ("exit2-search-space", ["explore", "--experiment", "big.json"]),
     ("exit3-off-curve",
      ["height", "--curve", "curve.json", "--point", "off.json"]),

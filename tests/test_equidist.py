@@ -12,9 +12,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from smallpoints.algebraic import AlgebraicNumber, radical, root_of_unity
+from smallpoints import equidist
+from smallpoints.algebraic import (
+    AlgebraicNumber, IntPolynomial, _abs_interval, _angle_unit, _mp_rows, _root_table, radical,
+    root_of_unity,
+)
 from smallpoints.equidist import (
     EquidistError,
+    _measure_at,
     bilu_report,
     orbit_measure,
     radial_deviation,
@@ -197,3 +202,86 @@ class TestConjugationSymmetry:
         assert radial_deviation(orbit_measure(phi)) == pytest.approx(
             0.4812118250596034, abs=1e-12
         )
+
+
+def _measure_at_all_rows(minpoly, eps):
+    """Reference for equidist._measure_at: every row of the root table is
+    measured on its own, with no conjugate pair mirrored."""
+    entries = []
+    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps, True)):
+        lo, hi = _abs_interval(re, im, rad)
+        if not lo > 0:
+            return None
+        theta = _angle_unit(re, im, real)
+        a_err = 0.0 if real else float(rad) / lo / (2 * math.pi)
+        llo, lhi = math.log(lo), math.log(hi)
+        entries.append((theta, a_err, (llo + lhi) / 2, (lhi - llo) / 2))
+    entries.sort(key=lambda t: (t[0], t[2]))
+    return entries
+
+
+# c_d x^d + c_0 for every degree to 24, then a stride to 200 (every
+# degree would take about nine times as long), with both signs of c_0/c_d
+BINOMIALS = [
+    IntPolynomial((s * (d % 7 + 2),) + (0,) * (d - 1) + (d % 5 + 1,))
+    for d in list(range(2, 25)) + list(range(29, 201, 19))
+    for s in (1, -1)
+]
+CYCLOTOMIC = [IntPolynomial(tuple(int(c) for c in reversed(
+    sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x"))).all_coeffs())))
+    for n in range(1, 62)]
+OTHERS = [IntPolynomial((-1, -1, 0, 0, 0, 1)), LEHMER.minpoly]
+
+
+class TestMirroredPairs:
+    """_measure_at measures one root of each conjugate pair and mirrors it;
+    the all-rows reference measures both."""
+
+    @pytest.mark.parametrize("polys", [BINOMIALS, CYCLOTOMIC, OTHERS],
+                             ids=["binomials", "cyclotomic", "others"])
+    def test_matches_all_rows_reference(self, polys):
+        for p in polys:
+            got, ref = _measure_at(p, 1e-9), _measure_at_all_rows(p, 1e-9)
+            assert len(got) == len(ref) == p.degree, p
+            for (t, ae, lr, le), (t0, ae0, lr0, le0) in zip(got, ref):
+                assert abs(t - t0) <= ae + ae0, p
+                assert abs(lr - lr0) <= le + le0, p
+
+    @pytest.mark.parametrize("polys", [BINOMIALS, CYCLOTOMIC, OTHERS],
+                             ids=["binomials", "cyclotomic", "others"])
+    def test_exact_mirror_symmetry(self, polys):
+        for p in polys:
+            got = [e for e in _measure_at(p, 1e-9) if e[1] > 0]  # non-real roots
+            lower = sorted(e for e in got if e[0] < 0.5)
+            upper = sorted((e for e in got if e[0] > 0.5), reverse=True)
+            assert len(lower) == len(upper) == len(got) // 2, p
+            for (t, ae, lr, le), (u, ae_u, lr_u, le_u) in zip(lower, upper):
+                assert t + u == 1.0, p
+                assert (ae, lr, le) == (ae_u, lr_u, le_u), p
+
+    def test_one_modulus_per_pair(self, monkeypatch):
+        # x^5 - x - 1: one real root and two conjugate pairs
+        calls = _count_abs_interval(monkeypatch)
+        assert len(_measure_at(IntPolynomial((-1, -1, 0, 0, 0, 1)), 1e-9)) == 5
+        assert calls == [3]
+
+    def test_imaginary_axis_falls_back_to_every_row(self, monkeypatch):
+        # x^4 + 3x^2 + 1 is irreducible, with the roots +-i phi and +-i/phi:
+        # one real-part group of four, so the order is not lexicographic
+        p = IntPolynomial((1, 0, 3, 0, 1))
+        assert not _root_table(p, 1e-9, True).lex
+        ref = _measure_at_all_rows(p, 1e-9)
+        calls = _count_abs_interval(monkeypatch)
+        assert _measure_at(p, 1e-9) == ref
+        assert calls == [4]
+
+
+def _count_abs_interval(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _abs_interval(*args)
+
+    monkeypatch.setattr(equidist, "_abs_interval", counted)
+    return calls
