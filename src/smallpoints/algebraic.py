@@ -346,24 +346,15 @@ def _mp_rows(t: _RootTable, rows=slice(None)):
 
 
 def _conjugate_rows(t: _RootTable):
-    """(i, re, im, radius, is_real, paired) for the real rows of t and one
-    row of each complex-conjugate pair, as in _mp_rows; paired marks those.
+    """(i, re, im, radius, is_real, paired) for the real rows of t and each
+    row with im > 0, as in _mp_rows; paired marks the latter.
 
-    A table with lex set and mult None was certified by _geometry: every
-    real-part group is one real root or one conjugate pair, and a non-real
-    disk misses its own mirror image, so |im| > radius. So each pair sits
-    in adjacent rows, im < 0 first, and the root in the mirror image of the
-    im > 0 disk (the row yielded) is its conjugate. Any other table, or one
-    whose rows do not split that way into reals and pairs, yields every row
-    with paired False."""
-    n = len(t.re)
-    if t.lex and t.mult is None:
-        real, im = t.real, t.im
-        top = np.flatnonzero(~real[:-1] & ~real[1:] & (im[:-1] < 0) & (im[1:] > 0)) + 1
-        if 2 * len(top) + np.count_nonzero(real) == n:
-            rows = np.sort(np.concatenate([np.flatnonzero(real), top]))
-            return ((i, *row, not row[3]) for i, row in zip(rows.tolist(), _mp_rows(t, rows)))
-    return ((i, *row, False) for i, row in enumerate(_mp_rows(t)))
+    _geometry certified that a non-real disk misses its own mirror image,
+    so the sign of im is certain, and that the mirror meets exactly one
+    other disk, which holds the conjugate root. So the rows with im > 0 and
+    im < 0 match one to one in every table, repeated and mpf rows included."""
+    rows = np.flatnonzero(t.real | (t.im > 0))
+    return ((i, *row, not row[3]) for i, row in zip(rows.tolist(), _mp_rows(t, rows)))
 
 
 def _roots_of(t: _RootTable, rows=slice(None)) -> list:
@@ -609,16 +600,10 @@ def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
         ]
         if not pieces:
             raise AlgebraicError("constant polynomial has no roots")
-    if len(pieces) == 1:
-        piece, mult = pieces[0]
-        t = _roots_squarefree(piece, eps)
-        if mult == 1:
-            return t
-        rows = np.repeat(np.arange(len(t.re)), mult).tolist()
-        exact = None if t.exact is None else tuple(t.exact[i] for i in rows)
-        return t._replace(re=t.re[rows], im=t.im[rows], rad=t.rad[rows], real=t.real[rows],
-                          mult=(mult,) * len(rows), exact=exact)
-    # cross-factor disks are disjoint mathematically; refine until visibly so
+    if len(pieces) == 1 and pieces[0][1] == 1:
+        return _roots_squarefree(pieces[0][0], eps)
+    # a repeated factor or several: merge the pieces' roots. Cross-factor
+    # disks are disjoint mathematically; refine until visibly so
     for tries in range(9):
         finer = eps / 16**tries
         rs = [
@@ -744,10 +729,10 @@ def mahler_log(
     """log Mahler measure log|c_d| + sum log+|root_i|, with error bound.
 
     The error bound comes from the root enclosure radii; enclosures are
-    refined until the bound is at most tol. Where the root table is
-    certified lexicographic, each complex-conjugate pair is bounded once,
-    from its im > 0 disk, and counted twice (see _conjugate_rows).
-    trusted_squarefree is passed on to roots().
+    refined until the bound is at most tol, or RootRefinementError is
+    raised when that takes radii below 1e-290. Each complex-conjugate pair
+    is bounded once, from its im > 0 disk, and counted twice (see
+    _conjugate_rows). trusted_squarefree is passed on to roots().
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
@@ -785,6 +770,8 @@ def mahler_log(
             prec = mp.prec
         if err <= tol:
             return MahlerLog(val, err)
+        if eps / 256 < 1e-290:
+            break
         eps /= 256
     raise RootRefinementError(p, tol, err, prec)
 
@@ -890,12 +877,6 @@ def weil_height(a, tol: float = 1e-12) -> float:
     """
     if isinstance(a, (int, Fraction)):
         a = AlgebraicNumber.from_rational(a)
-    if a.is_rational:
-        v = a.as_rational()
-        if v == 0:
-            return 0.0
-        with mp.workdps(40):
-            return float(_log_int(max(abs(v.numerator), v.denominator)))
     d = a.degree
     poly = a.minpoly
     if poly.leading == 1 and abs(poly.constant) == 1 and is_root_of_unity(a) is not None:
@@ -1079,13 +1060,21 @@ def torus_power(t: TorusElement, k: int) -> TorusElement:
 def torus_height(t: TorusElement, tol: float = 1e-12) -> float:
     """h(base^exponent) = |exponent| * h(base), exactly by symbolic scaling.
 
-    Raises OverflowError when |exponent| or that product is beyond float
-    range."""
+    The float product holds h(base) to about 2^-52 of itself, so h(base) is
+    asked for no finer than that, and the value is within tol + 2^-50 *
+    value. Raises OverflowError when |exponent| or that product is beyond
+    float range."""
     if t.exponent == 0:
         return 0.0
     scale = abs(t.exponent)
     # tol / scale and scale * h convert scale to float, which overflows near 2^1024
-    value = scale * weil_height(t.base, tol / scale) if scale.bit_length() < 1024 else math.inf
+    if scale.bit_length() >= 1024:
+        raise OverflowError("|exponent| * h(base) is beyond float range")
+    h = weil_height(t.base, tol)
+    if scale > 1:
+        # h - tol is a lower bound on h(base)
+        h = weil_height(t.base, max(tol / scale, 2.0**-52 * (h - tol)))
+    value = scale * h
     if value == math.inf:
         raise OverflowError("|exponent| * h(base) is beyond float range")
     return value

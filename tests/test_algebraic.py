@@ -59,12 +59,14 @@ class TestWeilHeight:
         assert abs(h - math.log(2) / 12) <= 1e-9
 
     def test_rationals_exact(self):
+        # the measure of c_1 x + c_0 is max(|c_0|, |c_1|), taken at 40 digits
         rng = random.Random(7)
-        for _ in range(20):
-            r = rand_fraction(rng)
+        for _ in range(300):
+            r = rand_fraction(rng, 10 ** rng.randint(1, 40))
             h = weil_height(AlgebraicNumber.from_rational(r))
-            want = 0.0 if r == 0 else math.log(max(abs(r.numerator), r.denominator))
-            assert abs(h - want) <= 1e-12
+            with mp.workdps(40):
+                want = float(mp.log(mpf(max(abs(r.numerator), r.denominator))))
+            assert h == want, r
 
     def test_cyclotomic_zero(self):
         for n in range(1, 31):
@@ -127,8 +129,7 @@ class TestMahler:
 
     def test_pairs_match_all_rows(self, monkeypatch):
         # each conjugate pair counted twice from one row, against the walk
-        # over every row; x^4 + 3x^2 + 1 (roots on the imaginary axis) is
-        # not lexicographic and takes that walk itself
+        # over every row; x^4 + 3x^2 + 1 has its roots on the imaginary axis
         polys = [LEHMER, IntPolynomial((-1, -1, 0, 0, 0, 1)), IntPolynomial((1, 0, 3, 0, 1)),
                  IntPolynomial((7, -3, 0, 2, 5, -1, 4))]
         got = [mahler_log(p, 1e-12) for p in polys]
@@ -138,14 +139,20 @@ class TestMahler:
             assert abs(m.value - ref.value) <= m.error + ref.error, p
 
     def test_multiplicities_walk_every_row(self, monkeypatch):
-        # (x^2+2)^2 (x^2+x+3): the root table has mult set, so no row is
-        # paired; M = sqrt(2)^4 * sqrt(3)^2 = 12
+        # (x^2+2)^2 (x^2+x+3): the root table has mult set, and each repeated
+        # pair is counted twice, as the walk over every row counts it;
+        # M = sqrt(2)^4 * sqrt(3)^2 = 12
         p = IntPolynomial((2, 0, 1)) * IntPolynomial((2, 0, 1)) * IntPolynomial((3, 1, 1))
         m = mahler_log(p, 1e-12, trusted_squarefree=False)
         assert abs(m.value - math.log(12)) <= m.error + 1e-15
         assert algebraic._root_table(p, 1e-9, False).mult is not None
         monkeypatch.setattr(algebraic, "_conjugate_rows", _every_row)
         assert mahler_log(p, 1e-12, trusted_squarefree=False) == m
+
+    def test_unreachable_tol_raises(self):
+        # radii stop at 1e-290, so an error of 1e-300 is out of reach
+        with pytest.raises(algebraic.RootRefinementError):
+            mahler_log(IntPolynomial((-1, -1, 0, 0, 0, 1)), 1e-300, trusted_squarefree=True)
 
 
 def _every_row(t):
@@ -208,6 +215,12 @@ class TestRoots:
             if r.is_real:
                 assert float(r.im) == 0.0
                 assert algebraic._angle_unit(r.re, r.im, r.is_real) in (0.0, 0.5)
+
+    def test_repeated_factor_repeats_rows(self):
+        # (x^2 + 2)^2 takes the merge path: the rows of x^2 + 2, each twice
+        once = roots(IntPolynomial((2, 0, 1)))
+        twice = roots(IntPolynomial((4, 0, 4, 0, 1)))
+        assert twice == [replace(r, multiplicity=2) for r in once for _ in range(2)]
 
     def test_multiplicity_expansion(self):
         sq = IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)) * IntPolynomial((2, 1))
@@ -356,6 +369,25 @@ class TestTorus:
         for base, e in ((20, 2**1023), (2, 10**400), (2, -(10**400))):
             with pytest.raises(OverflowError):
                 torus_height(TorusElement.from_rational(base, e))
+
+    def test_height_at_huge_exponent(self):
+        # the float product cannot carry h(base) finer than 2^-52 of itself,
+        # so the value is within tol + 2^-50 value of |e| h(base)
+        base = AlgebraicNumber.from_minpoly((-1, -1, 0, 0, 0, 1))
+        with mp.workdps(50):
+            h = sum(mp.log(abs(z)) for z in mp.polyroots([1, 0, 0, 0, -1, -1])
+                    if abs(z) > 1) / 5
+            for e in (2**40, -(2**40), 2**1000):
+                value = torus_height(TorusElement(base, e), 1e-12)
+                assert abs(mpf(value) - abs(e) * h) <= 1e-12 + 2.0**-50 * value, e
+
+    def test_exponent_one_asks_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(algebraic, "weil_height",
+                            lambda a, tol: calls.append(tol) or weil_height(a, tol))
+        t = TorusElement(radical(3, 5))
+        assert torus_height(t, 1e-12) == weil_height(t.base, 1e-12)
+        assert calls == [1e-12]
 
     def test_zero_base_rejected(self):
         with pytest.raises(AlgebraicError):

@@ -87,6 +87,8 @@ HEIGHT = [
     ("height-minpoly-index-text",
      ["height", "--minpoly=-2,0,0,0,0,0,0,0,1", "--index", "3"]),
     ("height-minpoly-json", ["--format", "json", "height", "--minpoly=-1,-1,1"]),
+    ("height-minpoly-exponent-2-1000",
+     ["height", "--minpoly=-1,-1,0,0,0,1", "--exponent", str(2**1000)]),
     ("height-curve-readme",
      ["height", "--curve", "curve.json", "--point", "P.json", "--canonical"]),
     ("height-curve-naive-text",
@@ -187,6 +189,8 @@ ORBIT = [
     ("orbit-minpoly-text",
      ["orbit", "--minpoly", "1,1,0,-1,-1,-1,-1,-1,0,1,1", "--index", "2"]),
     ("orbit-poly-json", ["--format", "json", "orbit", "--poly", "lehmer.json"]),
+    ("orbit-tied-angles-json",
+     ["--format", "json", "orbit", "--minpoly", "1,0,6,0,1"]),
     ("orbit-out-dir-text", ["orbit", "--radical", "2", "3", "-o", "o"]),
     ("orbit-out-dir-csv",
      ["--format", "csv", "orbit", "--radical", "3", "4", "-o", "o"]),

@@ -6,16 +6,19 @@ formulas); the package path must reproduce them through certified
 enclosures.
 """
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from mpmath import mp, mpf
 
-from smallpoints import equidist
+from smallpoints import algebraic, equidist
 from smallpoints.algebraic import (
-    AlgebraicNumber, IntPolynomial, _abs_interval, _angle_unit, _mp_rows, _root_table, radical,
-    root_of_unity,
+    AlgebraicNumber, IntPolynomial, _abs_interval, _angle_unit, _mp_rows, _root_table, mahler_log,
+    radical, root_of_unity,
 )
 from smallpoints.equidist import (
     EquidistError,
@@ -204,11 +207,11 @@ class TestConjugationSymmetry:
         )
 
 
-def _measure_at_all_rows(minpoly, eps):
+def _measure_at_all_rows(minpoly, eps, trusted_squarefree=True):
     """Reference for equidist._measure_at: every row of the root table is
     measured on its own, with no conjugate pair mirrored."""
     entries = []
-    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps, True)):
+    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps, trusted_squarefree)):
         lo, hi = _abs_interval(re, im, rad)
         if not lo > 0:
             return None
@@ -231,6 +234,23 @@ CYCLOTOMIC = [IntPolynomial(tuple(int(c) for c in reversed(
     sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x"))).all_coeffs())))
     for n in range(1, 62)]
 OTHERS = [IntPolynomial((-1, -1, 0, 0, 0, 1)), LEHMER.minpoly]
+
+
+# inputs whose root tables the pairing once skipped, with the property
+# that made it skip them: roots on the imaginary axis (one real-part group
+# of four), repeated factors (trusted_squarefree False) and mpf columns
+# (a 1e-40 certification needs the mpmath ladder)
+PAIRING = {
+    "x^4+3x^2+1": (IntPolynomial((1, 0, 3, 0, 1)), True, None, "not lex"),
+    "x^4+6x^2+1": (IntPolynomial((1, 0, 6, 0, 1)), True, None, "not lex"),
+    "(x^2+2)^2(x^2+x+3)": (IntPolynomial((2, 0, 1)) * IntPolynomial((2, 0, 1))
+                           * IntPolynomial((3, 1, 1)), False, None, "mult"),
+    "(x^2+x+1)^3(x-2)^2": (IntPolynomial((1, 1, 1)) * IntPolynomial((1, 1, 1))
+                           * IntPolynomial((1, 1, 1)) * IntPolynomial((-2, 1))
+                           * IntPolynomial((-2, 1)), False, None, "mult"),
+    "Phi_7 at 1e-40": (root_of_unity(7).minpoly, True, 1e-40, "mpf"),
+    "radical(3, 5) at 1e-40": (radical(3, 5).minpoly, True, 1e-40, "mpf"),
+}
 
 
 class TestMirroredPairs:
@@ -265,15 +285,88 @@ class TestMirroredPairs:
         assert len(_measure_at(IntPolynomial((-1, -1, 0, 0, 0, 1)), 1e-9)) == 5
         assert calls == [3]
 
-    def test_imaginary_axis_falls_back_to_every_row(self, monkeypatch):
-        # x^4 + 3x^2 + 1 is irreducible, with the roots +-i phi and +-i/phi:
-        # one real-part group of four, so the order is not lexicographic
-        p = IntPolynomial((1, 0, 3, 0, 1))
-        assert not _root_table(p, 1e-9, True).lex
-        ref = _measure_at_all_rows(p, 1e-9)
-        calls = _count_abs_interval(monkeypatch)
-        assert _measure_at(p, 1e-9) == ref
-        assert calls == [4]
+    @pytest.mark.parametrize("case", sorted(PAIRING))
+    def test_pairs_in_every_table(self, case, monkeypatch):
+        p, trusted, fine, kind = PAIRING[case]
+        try:
+            if fine is not None:
+                _root_table(p, fine, True)  # the cache now serves this mpf table
+            t = _root_table(p, 1e-9, trusted)
+            assert {"not lex": not t.lex, "mult": t.mult is not None,
+                    "mpf": t.re.dtype == object}[kind], case
+            reals = int(np.count_nonzero(t.real))
+            monkeypatch.setattr(equidist, "_root_table",
+                                lambda q, eps, _: _root_table(q, eps, trusted))
+            ref = _measure_at_all_rows(p, 1e-9, trusted)
+            calls = _count_abs_interval(monkeypatch)
+            got = _measure_at(p, 1e-9)
+            # one modulus per real row and per conjugate pair, repeated rows counted
+            assert calls == [reals + (len(t.re) - reals) // 2], case
+            assert len(got) == len(ref) == p.degree, case
+            for (a, ae, lr, le), (a0, ae0, lr0, le0) in zip(got, ref):
+                assert abs(a - a0) <= ae + ae0, case
+                assert abs(lr - lr0) <= le + le0, case
+            lower = sorted((e for e in got if 0 < e[0] < 0.5), key=lambda e: (e[0], e[2]))
+            upper = sorted((e for e in got if e[0] > 0.5), key=lambda e: (-e[0], e[2]))
+            assert len(lower) == len(upper) == (len(t.re) - reals) // 2, case
+            for (a, *rest), (b, *rest_b) in zip(lower, upper):
+                assert a + b == 1.0 and rest == rest_b, case
+            m = mahler_log(p, 1e-12, trusted)
+            monkeypatch.setattr(algebraic, "_conjugate_rows", lambda t: (
+                (i, *row, False) for i, row in enumerate(_mp_rows(t))))
+            m0 = mahler_log(p, 1e-12, trusted)
+            assert abs(m.value - m0.value) <= m.error + m0.error, case
+        finally:
+            if fine is not None:
+                algebraic._ordered_roots.cache_clear()  # later tests see float tables
+
+    def test_tied_angles_take_one_pass(self, monkeypatch):
+        # x^4 + 6x^2 + 1 has the roots +-i(sqrt 2 +- 1): two angles, each
+        # held by two roots, which no refinement separates
+        calls = []
+        monkeypatch.setattr(equidist, "_measure_at",
+                            lambda p, eps: calls.append(eps) or _measure_at(p, eps))
+        mu = orbit_measure(AlgebraicNumber.from_minpoly((1, 0, 6, 0, 1)))
+        assert calls == [1e-9]
+        assert mu.angles == (0.25, 0.25, 0.75, 0.75)
+        assert mu.log_radii[0] < 0 < mu.log_radii[1]
+
+
+class TestStoredErrors:
+    """Every stored angle and log-modulus lies within the measure's stated
+    error of the exact value, float rounding included."""
+
+    # alpha, the eps of a finer table put in the cache first, and the exact
+    # orbit: angles k/n for k in ks, shifted by delta, and modulus c^(1/n)
+    CASES = {
+        "Phi_7 at 1e-40": (lambda: root_of_unity(7), 1e-40, 7, range(1, 7), 0, 1),
+        "radical(3, 5) at 1e-40": (lambda: radical(3, 5), 1e-40, 5, range(5), 0, 3),
+        "Phi_12": (lambda: root_of_unity(12, 5), None, 12, (1, 5, 7, 11), 0, 1),
+        "radical(2, 5)": (lambda: radical(2, 5), None, 5, range(5), 0, 2),
+        "radical(-7/3, 9)": (lambda: radical(Fraction(-7, 3), 9), None, 9, range(9),
+                             Fraction(1, 2), Fraction(7, 3)),  # one angle is 1/2
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_within_errors(self, case):
+        make, fine, n, ks, delta, c = self.CASES[case]
+        alpha, c = make(), Fraction(c)
+        try:
+            if fine is not None:
+                _root_table(alpha.minpoly, fine, True)
+            mu = orbit_measure(alpha)
+        finally:
+            algebraic._ordered_roots.cache_clear()  # later tests see float tables
+        assert type(mu.angle_err) is float and type(mu.log_radius_err) is float
+        json.dumps([mu.angle_err, mu.log_radius_err])
+        angles = sorted((Fraction(k, n) + delta) % 1 for k in ks)
+        assert len(angles) == len(mu)
+        with mp.workdps(50):
+            log_r = mp.log(mpf(c.numerator) / c.denominator) / n
+            for a, want in zip(mu.angles, angles):
+                assert abs(mpf(a) - mpf(want.numerator) / want.denominator) <= mu.angle_err, case
+            for lr in mu.log_radii:
+                assert abs(mpf(lr) - log_r) <= mu.log_radius_err, case
 
 
 def _count_abs_interval(monkeypatch):
