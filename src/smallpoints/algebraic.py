@@ -3,8 +3,8 @@
 An algebraic number is stored as (minimal polynomial, root index): the
 polynomial is primitive with positive leading coefficient and irreducible
 over Q, and the index selects one root in a deterministic ordering of the
-certified enclosures (sorted by real part, ties by imaginary part, refined
-until the order is unambiguous).
+certified enclosures (sorted by real part, ties by imaginary part) that
+the polynomial's first certified pass fixes for every eps.
 
 Heights are absolute logarithmic Weil heights computed through the Mahler
 measure of the minimal polynomial:
@@ -20,8 +20,9 @@ rescales x = 2^k y so that the roots and coefficients lie in float64 range,
 seeds in float64 (closed forms for binomials and Phi_n, else np.roots),
 and certifies in float64, then polishes the same centres in mpmath at
 doubling precision only when float64 cannot reach eps or separate the
-disks. The Newton-and-bound step and the disk geometry are written once
-for both precisions.
+disks. Certified float64 disks also prove the polynomial squarefree. The
+Newton-and-bound step and the disk geometry are written once for both
+precisions.
 """
 
 from __future__ import annotations
@@ -92,14 +93,14 @@ class RootRefinementError(AlgebraicError):
     eps, the achieved radius and the last precision tried, in bits.
     """
 
-    def __init__(self, poly, eps: float, achieved_radius: float, prec: int):
+    def __init__(self, poly, eps: float, achieved_radius: float, prec: int, **context):
         self.poly = poly
         self.eps = eps
         self.achieved_radius = achieved_radius
         self.prec = prec
         super().__init__(
             f"could not certify {poly} to radius {eps:.3e}: achieved "
-            f"{achieved_radius:.3e} at {prec}-bit precision"
+            f"{achieved_radius:.3e} at {prec}-bit precision", **context
         )
 
 
@@ -321,7 +322,8 @@ def _angle_unit(re, im, is_real) -> float:
 
 class _RootTable(NamedTuple):
     """Certified roots of one polynomial in canonical order: disk i has
-    centre (re[i] + i im[i]) 2^k and radius rad[i] 2^k.
+    centre (re[i] + i im[i]) 2^k and radius rad[i] 2^k, the order being
+    the reference pass's for a squarefree polynomial (see _certify).
 
     The columns are float64 after a float64 certification, the scale kept
     apart so that no ldexp overflows or rounds, else mpf objects. real flags
@@ -507,19 +509,13 @@ def _geometry(z, rad):
     return real, order, lex
 
 
-def _certify_scaled(q, z, u, eps_y, k):
-    """(z, rad, table): one Newton-and-bound pass at unit roundoff u, with
-    the root table once every radius is at most eps_y and the disks are
-    separated, else None.
+def _table(z, rad, geom, k) -> _RootTable:
+    """The root table of the disks (z, rad) in y = x / 2^k, with the
+    realness, order and lex of geom as _geometry returns them.
 
-    q, z and eps_y are in y = x / 2^k, and so are the table's columns:
-    float64 for complex128 centres, mpf at the current precision for mpc
-    ones. Certified-real roots are kept exactly real, their radius grown
-    by |im| and rounded up."""
-    z, rad = _newton_bound(q, z, u)
-    geom = _geometry(z, rad) if np.all(rad <= eps_y) else None
-    if geom is None:
-        return z, rad, None
+    The columns are float64 for complex128 centres, mpf at the current
+    precision for mpc ones. Certified-real roots are kept exactly real,
+    their radius grown by |im| and rounded up."""
     real, order, lex = geom
     real, zo, r = real[order], z[order], rad[order] * (1 + 1e-12)
     if zo.dtype == object:
@@ -531,18 +527,30 @@ def _certify_scaled(q, z, u, eps_y, k):
         # TwoSum: s + err is r + |im| exactly, so err > 0 means s fell short
         bp = s - r
         up = np.where((r - (s - bp)) + (np.abs(im) - bp) > 0, np.nextafter(s, np.inf), s)
-    return z, rad, _RootTable(re, np.where(real, 0, im), np.where(real, up, r), k, real, lex)
+    return _RootTable(re, np.where(real, 0, im), np.where(real, up, r), k, real, lex)
 
 
-def _roots_squarefree(poly: IntPolynomial, eps: float) -> _RootTable:
-    """The certified, canonically ordered root table of a squarefree
-    polynomial.
+def _eps_bucket(eps: float) -> float:
+    if eps <= 0:
+        raise AlgebraicError("eps must be positive")
+    return 2.0 ** math.floor(math.log2(eps))
 
-    The work is done on q(y) = 2^-j p(2^k y) (see _root_scale), whose
-    roots and coefficients lie in float64 range. Seeds are the closed-form
-    roots or np.roots eigenvalues; a float64 pass polishes and bounds them,
-    and only when its disks are too wide or not separated does an mpmath
-    ladder of doubling precision polish its centres further."""
+
+def _certify(coeffs: tuple, eps: float) -> _RootTable:
+    """The root table of coeffs: certified roots in canonical order, each
+    repeated by its multiplicity.
+
+    The work is done on q(y) = 2^-j p(2^k y) (see _root_scale), whose roots
+    and coefficients lie in float64 range. A float64 pass polishes and
+    bounds the closed-form or np.roots seeds. If _geometry certifies its d
+    disks, each holds a distinct root, so p is squarefree, and this pass is
+    the reference whose realness, order and lex the table keeps at every
+    eps. Else sympy's sqf_list splits p: repeated factors go to _merge, and
+    a squarefree p takes the first mpmath rung that _geometry certifies.
+    While radii exceed eps, mpmath rungs of doubling precision polish the
+    same centres; a refined disk that meets another root's reference disk
+    raises rather than renumber the roots."""
+    poly = IntPolynomial(coeffs)
     d = poly.degree
     if d == 1:
         c0, c1 = poly.coeffs
@@ -564,33 +572,9 @@ def _roots_squarefree(poly: IntPolynomial, eps: float) -> _RootTable:
             z = np.roots(q[::-1])
         except np.linalg.LinAlgError as exc:
             raise RootRefinementError(poly, eps, math.inf, 53) from exc
-    z, rad, done = _certify_scaled(q, z, 2.0**-53, float(eps_y), k)
-    prec, dps = 53, 40
-    while done is None and dps <= _MAX_DPS:
-        with mp.workdps(dps):
-            prec = mp.prec
-            qm = np.array([mp.ldexp(mpf(c), e) for c, e in zip(poly.coeffs, exps)], dtype=object)
-            zm = np.array([mpc(w.real, w.imag) for w in z], dtype=object)
-            z, rad, done = _certify_scaled(qm, zm, mpf(2) ** (1 - prec), eps_y, k)
-        dps *= 2
-    if done is None:
-        raise RootRefinementError(poly, eps, float(mp.ldexp(max(rad), k)), prec)
-    return done
-
-
-def _eps_bucket(eps: float) -> float:
-    if eps <= 0:
-        raise AlgebraicError("eps must be positive")
-    return 2.0 ** math.floor(math.log2(eps))
-
-
-def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
-    """The root table of coeffs: certified roots in canonical order, each
-    repeated by its multiplicity."""
-    poly = IntPolynomial(coeffs)
-    if trusted_squarefree:
-        pieces = [(poly, 1)]
-    else:
+    z, rad = _newton_bound(q, z, 2.0**-53)
+    geom, (zr, rr) = _geometry(z, rad), (z, rad)
+    if geom is None:
         import sympy  # general factoring only: sympy stays off the import path
         _, factors = sympy.Poly(poly.coeffs[::-1], sympy.Symbol("x")).sqf_list()
         pieces = [
@@ -598,18 +582,41 @@ def _certify(coeffs: tuple, eps: float, trusted_squarefree: bool):
             for f, m in factors
             if f.degree() >= 1
         ]
-        if not pieces:
-            raise AlgebraicError("constant polynomial has no roots")
-    if len(pieces) == 1 and pieces[0][1] == 1:
-        return _roots_squarefree(pieces[0][0], eps)
-    # a repeated factor or several: merge the pieces' roots. Cross-factor
-    # disks are disjoint mathematically; refine until visibly so
+        if len(pieces) > 1 or pieces[0][1] > 1:
+            return _merge(poly, pieces, eps)
+    elif np.all(rad <= float(eps_y)):
+        return _table(z, rad, geom, k)
+    prec, dps = 53, 40
+    while dps <= _MAX_DPS:
+        with mp.workdps(dps):
+            prec = mp.prec
+            qm = np.array([mp.ldexp(mpf(c), e) for c, e in zip(poly.coeffs, exps)], dtype=object)
+            zm = np.array([mpc(w.real, w.imag) for w in z], dtype=object)
+            z, rad = _newton_bound(qm, zm, mpf(2) ** (1 - prec))
+            if geom is None:
+                geom, (zr, rr) = _geometry(z, rad), (z, rad)
+            if geom is not None and np.all(rad <= eps_y):
+                # disk i may meet no reference disk but its own, with
+                # _geometry's margin
+                meets = np.abs(z[:, None] - zr[None, :]) <= (rad[:, None] + rr[None, :]) * (1 + 1e-9)
+                if np.count_nonzero(meets) > np.count_nonzero(meets.diagonal()):
+                    raise RootRefinementError(poly, eps, float(mp.ldexp(max(rad), k)), prec,
+                                              detail="a refined disk left its root")
+                return _table(z, rad, geom, k)
+        dps *= 2
+    raise RootRefinementError(poly, eps, float(mp.ldexp(max(rad), k)), prec)
+
+
+def _merge(poly: IntPolynomial, pieces: list, eps: float) -> _RootTable:
+    """The table of poly from its square-free pieces (piece, multiplicity),
+    ordered at eps. Cross-factor disks are disjoint mathematically; refine
+    until visibly so."""
     for tries in range(9):
         finer = eps / 16**tries
         rs = [
             replace(r, multiplicity=mult)
             for piece, mult in pieces
-            for r in _roots_of(_roots_squarefree(piece, finer))
+            for r in _roots_of(_certify(piece.coeffs, finer))
         ]
         # centres at a precision that holds every one exactly
         with mp.workprec(max([mp.prec] + [x.bc for r in rs for x in (r.re, r.im)])):
@@ -634,30 +641,31 @@ class _CacheInfo(NamedTuple):
 
 
 class _FinestRootCache:
-    """_certify memoised with one entry per (coefficients, trusted flag).
+    """_certify memoised with one entry per coefficient tuple.
 
     The entry keeps the root table of the finest certification made so
     far (float64 columns unless an mpmath rung was needed): it serves every
     request at its eps or coarser, and a finer request replaces it, so a
-    stricter request never gets a looser enclosure. Least recently used
-    entries are evicted past maxsize."""
+    stricter request never gets a looser enclosure. A squarefree
+    polynomial's order is its reference pass's (see _certify), so the
+    replacement lists the same roots in the same order. Least recently
+    used entries are evicted past maxsize."""
 
     def __init__(self, maxsize: int):
         self._maxsize = maxsize
         self._entries = OrderedDict()
         self._hits = self._misses = 0
 
-    def __call__(self, coeffs: tuple, eps: float, trusted_squarefree: bool):
-        key = (coeffs, trusted_squarefree)
-        entry = self._entries.get(key)
+    def __call__(self, coeffs: tuple, eps: float):
+        entry = self._entries.get(coeffs)
         if entry is not None and entry[0] <= eps:
             self._hits += 1
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(coeffs)
             return entry[1]
         self._misses += 1
-        value = _certify(coeffs, eps, trusted_squarefree)
-        self._entries[key] = (eps, value)
-        self._entries.move_to_end(key)
+        value = _certify(coeffs, eps)
+        self._entries[coeffs] = (eps, value)
+        self._entries.move_to_end(coeffs)
         if len(self._entries) > self._maxsize:
             self._entries.popitem(last=False)
         return value
@@ -673,12 +681,12 @@ class _FinestRootCache:
 _ordered_roots = _FinestRootCache(maxsize=512)
 
 
-def _root_table(p: IntPolynomial, eps: float, trusted_squarefree: bool) -> _RootTable:
+def _root_table(p: IntPolynomial, eps: float) -> _RootTable:
     """The cached root table of p, certified to radius eps or finer."""
-    return _ordered_roots(p.coeffs, _eps_bucket(eps), trusted_squarefree)
+    return _ordered_roots(p.coeffs, _eps_bucket(eps))
 
 
-def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False):
+def roots(p: IntPolynomial, eps: float = 1e-12):
     """Certified enclosures of all roots of p, with multiplicity.
 
     Returns degree-many disks of radius <= eps in the canonical order; for
@@ -686,16 +694,20 @@ def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False
     lexicographic in (re, im): roots whose real parts are certified apart
     sort by real part, and roots whose real-part enclosures overlap, such
     as a complex-conjugate pair (equal real parts), sort by imaginary part.
-    Scaling by a rational r keeps this order for r > 0 and reverses it for
-    r < 0, so r*a keeps a's root index i, or takes d-1-i (see
-    scale_by_rational). Binomials c_d x^d + c_0 and
+    For squarefree p the first certified pass fixes the order, so index i
+    names the same root at every eps and in any call order; p with
+    repeated factors is ordered at eps. Scaling by a rational r keeps this
+    order for r > 0 and reverses it for r < 0, so r*a keeps a's root index
+    i, or takes d-1-i (see scale_by_rational). Binomials c_d x^d + c_0 and
     cyclotomic polynomials are seeded from their closed-form roots, other
     polynomials from np.roots, always on p rescaled by a power of two into
     float64 range; every seed is certified by the same d*|p/p'| disk bound,
     in float64 and, where that cannot reach eps or separate the disks, in
-    mpmath at up to 2560 digits. The finest certification of each
-    polynomial is cached and serves coarser requests; the cache holds it as
-    a root table (float64 centres and radii in y = x / 2^k, or mpf after an
+    mpmath at up to 2560 digits. Certified float64 disks prove p
+    squarefree; only when they are not certified does sympy split p. The
+    finest certification of each polynomial is cached, one entry per
+    coefficient tuple, and serves coarser requests; the cache holds it as a
+    root table (float64 centres and radii in y = x / 2^k, or mpf after an
     mpmath rung) and the CertifiedRoot list is built from it on each call.
     Raises RootRefinementError (with the polynomial, eps, achieved radius
     and last precision) if certification does not converge.
@@ -704,7 +716,7 @@ def roots(p: IntPolynomial, eps: float = 1e-12, trusted_squarefree: bool = False
         p = IntPolynomial(tuple(p))
     if p.degree < 1:
         raise AlgebraicError("degree >= 1 required")
-    return _roots_of(_root_table(p, eps, trusted_squarefree))
+    return _roots_of(_root_table(p, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -723,16 +735,16 @@ def _log_int(n: int) -> mpf:
     return mp.log(mpf(n))
 
 
-def mahler_log(
-    p: IntPolynomial, tol: float = 1e-12, trusted_squarefree: bool = False
-) -> MahlerLog:
+def mahler_log(p: IntPolynomial, tol: float = 1e-12) -> MahlerLog:
     """log Mahler measure log|c_d| + sum log+|root_i|, with error bound.
 
-    The error bound comes from the root enclosure radii; enclosures are
-    refined until the bound is at most tol, or RootRefinementError is
-    raised when that takes radii below 1e-290. Each complex-conjugate pair
-    is bounded once, from its im > 0 disk, and counted twice (see
-    _conjugate_rows). trusted_squarefree is passed on to roots().
+    The error bound comes from the root enclosure radii and the padding of
+    the moduli; enclosures are refined until the bound is at most tol.
+    RootRefinementError is raised at once when the padding alone, which no
+    finer enclosure lowers, exceeds tol (the error names it padding_floor),
+    and when reaching tol takes radii below 1e-290. Each complex-conjugate
+    pair is bounded once, from its im > 0 disk, and counted twice (see
+    _conjugate_rows).
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
@@ -746,10 +758,11 @@ def mahler_log(
         return MahlerLog(float(v), 1e-15)
     eps = max(min(tol / (4 * p.degree), 1e-10), 1e-290)
     for _ in range(60):
-        t = _root_table(p, eps, trusted_squarefree)
+        t = _root_table(p, eps)
         with mp.workdps(60):
             lo = _log_int(abs(p.leading))
             hi = lo + abs(lo) * mpf(2) ** (-120)
+            floor = 0.0
             for i, re, im, rad, _, paired in _conjugate_rows(t):
                 if t.exact is not None and t.exact[i] is not None:
                     q = abs(t.exact[i])
@@ -765,15 +778,18 @@ def mahler_log(
                     hi += w * mp.log(ahi)
                 if alo > 1:
                     lo += w * mp.log(alo)
+                    # at every eps the padding 2^-90 m of a modulus m > 1
+                    # keeps at least 2^-92 in the error
+                    floor += w * 2.0**-92
             err = float((hi - lo) / 2)
             val = float((hi + lo) / 2)
             prec = mp.prec
         if err <= tol:
             return MahlerLog(val, err)
-        if eps / 256 < 1e-290:
+        if floor > tol or eps / 256 < 1e-290:
             break
         eps /= 256
-    raise RootRefinementError(p, tol, err, prec)
+    raise RootRefinementError(p, tol, err, prec, padding_floor=f"{floor:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -804,25 +820,16 @@ class AlgebraicNumber:
         coeffs: Sequence[int],
         index: Optional[int] = None,
         approx: Optional[complex] = None,
-        strict_canonical: bool = False,
     ) -> "AlgebraicNumber":
         poly = IntPolynomial(tuple(coeffs))
         if poly.degree < 1:
             raise AlgebraicError("minimal polynomial must have degree >= 1")
-        if strict_canonical and not poly.is_canonical:
-            raise AlgebraicError(
-                "minimal polynomial must be primitive with positive leading "
-                "coefficient, coefficients constant term first "
-                "(e.g. x^8 - 2 is -2,0,0,0,0,0,0,0,1)"
-            )
         poly = poly.primitive()
         factor = _irreducible_or_factor(poly)
         if factor is not None:
             raise ReducibleMinpolyError(poly, factor)
         if index is None:
             index = 0 if approx is None else _index_near(poly, complex(approx))
-        if not (0 <= index < poly.degree):
-            raise AlgebraicError("root_index out of range")
         return cls(poly, index)
 
     @property
@@ -840,7 +847,7 @@ class AlgebraicNumber:
 
     def enclosure(self, eps: float = 1e-12) -> CertifiedRoot:
         i = self.index  # a one-row slice: no fancy indexing on the hot path
-        return _roots_of(_root_table(self.minpoly, eps, True), slice(i, i + 1))[0]
+        return _roots_of(_root_table(self.minpoly, eps), slice(i, i + 1))[0]
 
     def approx(self, eps: float = 1e-12) -> complex:
         r = self.enclosure(eps)
@@ -856,7 +863,7 @@ def _index_near(poly: IntPolynomial, approx: complex) -> int:
     # coarse enclosures are enough to pick a root; disks are disjoint. The
     # distances are taken in y = x / 2^k: scaling by 2^k is exact, so they
     # order the roots as distances in x would
-    t = _root_table(poly, 1e-9, True)
+    t = _root_table(poly, 1e-9)
     try:
         a = complex(math.ldexp(approx.real, -t.k), math.ldexp(approx.imag, -t.k))
     except OverflowError:
@@ -881,7 +888,7 @@ def weil_height(a, tol: float = 1e-12) -> float:
     poly = a.minpoly
     if poly.leading == 1 and abs(poly.constant) == 1 and is_root_of_unity(a) is not None:
         return 0.0  # Kronecker: algebraic integers of height 0 are roots of unity
-    m = mahler_log(poly, tol * d / 2, trusted_squarefree=True)
+    m = mahler_log(poly, tol * d / 2)
     return m.value / d
 
 
@@ -906,7 +913,7 @@ def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
     # same degree and the same field: irreducibility is inherited.
     # 1e-9 is the coarsest eps the package asks for, so any cached
     # certification of a's polynomial serves it
-    if _root_table(a.minpoly, 1e-9, True).lex:
+    if _root_table(a.minpoly, 1e-9).lex:
         return AlgebraicNumber(poly, a.index if r > 0 else d - 1 - a.index)
     for tries in range(30):
         eps = 1e-12 / 256**tries
@@ -916,7 +923,7 @@ def scale_by_rational(a: AlgebraicNumber, r: Rational) -> AlgebraicNumber:
             cim = src.im * s / t
             crad = src.radius * abs(mpf(s)) / t
             cands = []
-            for i, rt in enumerate(roots(poly, eps, trusted_squarefree=True)):
+            for i, rt in enumerate(roots(poly, eps)):
                 dx = rt.re - cre
                 dy = rt.im - cim
                 if mp.sqrt(dx * dx + dy * dy) <= rt.radius + crad:
@@ -979,7 +986,7 @@ def radical(r: Rational, m: int) -> AlgebraicNumber:
         else:
             c, d = root, d // p
     poly = IntPolynomial((-c.numerator,) + (0,) * (d - 1) + (c.denominator,))
-    t = _root_table(poly, 1e-12, True)
+    t = _root_table(poly, 1e-12)
     for i in np.flatnonzero(t.real).tolist():
         if (t.re[i] > 0) == (r > 0):
             return AlgebraicNumber(poly, i)

@@ -32,7 +32,9 @@ from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebraic import (
+    AlgebraicError,
     AlgebraicNumber,
+    IntPolynomial,
     RootRefinementError,
     TorusElement,
     radical,
@@ -261,9 +263,12 @@ def parse_algebraic(obj) -> AlgebraicNumber:
         ap = _no_unknown(obj["approx"], ("re", "im"), "'approx'")
         approx = complex(_read(ap.get("re", 0.0), "'re'", float),
                          _read(ap.get("im", 0.0), "'im'", float))
-    return AlgebraicNumber.from_minpoly(
-        coeffs, index=index, approx=approx, strict_canonical=True
-    )
+    poly = IntPolynomial(tuple(coeffs))
+    if poly.degree >= 1 and not poly.is_canonical:  # an AlgebraicError: no flag prefix
+        raise AlgebraicError("minimal polynomial must be primitive with positive leading "
+                             "coefficient, coefficients constant term first "
+                             "(e.g. x^8 - 2 is -2,0,0,0,0,0,0,0,1)")
+    return AlgebraicNumber.from_minpoly(coeffs, index=index, approx=approx)
 
 
 def parse_torus_literal(obj) -> TorusElement:

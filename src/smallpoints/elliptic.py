@@ -52,7 +52,6 @@ __all__ = [
     "CanonicalHeightBudgetError",
     "EllipticCurveQ",
     "ECPoint",
-    "WeierstrassReduction",
     "DuplicationEnvelope",
     "ec_neg",
     "ec_add",
@@ -62,7 +61,6 @@ __all__ = [
     "is_torsion",
     "torsion_points",
     "duplication_envelope",
-    "from_long_weierstrass",
 ]
 
 
@@ -638,29 +636,3 @@ def _integer_cubic_roots(A: int, c: int) -> List[int]:
         if lo**3 + A * lo + c == 0:
             roots.add(lo)
     return sorted(roots)
-
-
-# ---------------------------------------------------------------------------
-# long Weierstrass normalization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeierstrassReduction:
-    """Change of variables from y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
-    to short form: X = x + b2/12, Y = y + (a1 x + a3)/2."""
-
-    curve: EllipticCurveQ
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-
-
-def from_long_weierstrass(a1, a2, a3, a4, a6) -> WeierstrassReduction:
-    a1, a2, a3, a4, a6 = (Fraction(t) for t in (a1, a2, a3, a4, a6))
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    A = (24 * b4 - b2 * b2) / 48
-    B = (b2**3 - 36 * b2 * b4 + 216 * b6) / 864
-    return WeierstrassReduction(curve=EllipticCurveQ(A, B), a1=a1, a2=a2, a3=a3)

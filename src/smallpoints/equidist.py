@@ -90,7 +90,7 @@ def _measure_at(minpoly, eps: float):
     rounding of theta and of 1 - theta to float; a log-modulus error adds
     2^-50 (1 + |log|), which covers the float logarithms and their mean."""
     entries = []
-    for _, re, im, rad, real, paired in _conjugate_rows(_root_table(minpoly, eps, True)):
+    for _, re, im, rad, real, paired in _conjugate_rows(_root_table(minpoly, eps)):
         lo, hi = _abs_interval(re, im, rad)
         if not lo > 0:
             return None  # enclosure touches 0; angle undefined there

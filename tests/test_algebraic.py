@@ -143,16 +143,34 @@ class TestMahler:
         # pair is counted twice, as the walk over every row counts it;
         # M = sqrt(2)^4 * sqrt(3)^2 = 12
         p = IntPolynomial((2, 0, 1)) * IntPolynomial((2, 0, 1)) * IntPolynomial((3, 1, 1))
-        m = mahler_log(p, 1e-12, trusted_squarefree=False)
+        m = mahler_log(p, 1e-12)
         assert abs(m.value - math.log(12)) <= m.error + 1e-15
-        assert algebraic._root_table(p, 1e-9, False).mult is not None
+        assert algebraic._root_table(p, 1e-9).mult is not None
         monkeypatch.setattr(algebraic, "_conjugate_rows", _every_row)
-        assert mahler_log(p, 1e-12, trusted_squarefree=False) == m
+        assert mahler_log(p, 1e-12) == m
 
     def test_unreachable_tol_raises(self):
-        # radii stop at 1e-290, so an error of 1e-300 is out of reach
-        with pytest.raises(algebraic.RootRefinementError):
-            mahler_log(IntPolynomial((-1, -1, 0, 0, 0, 1)), 1e-300, trusted_squarefree=True)
+        # each modulus is padded by |m| 2^-90, so x^5 - x - 1 has an error
+        # floor near 1e-27 that no finer enclosure lowers: a tol below it
+        # raises at once, after at most two certifications
+        for tol in (1e-40, 1e-300):
+            algebraic._ordered_roots.cache_clear()
+            with pytest.raises(algebraic.RootRefinementError) as info:
+                mahler_log(IntPolynomial((-1, -1, 0, 0, 0, 1)), tol)
+            assert algebraic._ordered_roots.cache_info().misses <= 2
+            floor = float(info.value.padding_floor)
+            assert 1e-28 < floor < 1e-26 and f"padding_floor={floor:.3e}" in str(info.value)
+        algebraic._ordered_roots.cache_clear()
+
+    def test_tol_above_padding_floor_is_met(self):
+        p = IntPolynomial((-1, -1, 0, 0, 0, 1))
+        m = mahler_log(p, 1e-25)
+        assert m.error <= 1e-25
+        with mp.workdps(60):
+            want = sum(mp.log(max(1, abs(z))) for z in mp.polyroots([1, 0, 0, 0, -1, -1]))
+            # the value is a float: its rounding comes on top of the error
+            assert abs(mpf(m.value) - want) <= m.error + math.ulp(m.value)
+        algebraic._ordered_roots.cache_clear()
 
 
 def _every_row(t):
@@ -266,10 +284,6 @@ class TestAlgebraicNumber:
     def test_canonicalization(self):
         a = AlgebraicNumber.from_minpoly((4, 0, -2))  # -2x^2 + 4
         assert a.minpoly.coeffs == (-2, 0, 1)
-
-    def test_strict_canonical_rejects(self):
-        with pytest.raises(AlgebraicError):
-            AlgebraicNumber.from_minpoly((4, 0, -2), strict_canonical=True)
 
     def test_conjugates(self):
         a = radical(2, 5)
@@ -443,7 +457,7 @@ def factor_list_radical(r, m):
         f = min((f for f, _ in factors),
                 key=lambda f: abs(mp.polyval([int(c) for c in f.all_coeffs()], t)))
     poly = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs()))).primitive()
-    rs = roots(poly, 1e-12, trusted_squarefree=True)
+    rs = roots(poly, 1e-12)
     return poly, next(i for i, z in enumerate(rs) if z.is_real and (z.re > 0) == (r > 0))
 
 
@@ -499,10 +513,10 @@ class TestClosedFormSeeds:
 
     @staticmethod
     def both_paths(coeffs, monkeypatch, eps=2.0**-30):
-        closed = algebraic._certify(coeffs, eps, True)
+        closed = algebraic._certify(coeffs, eps)
         with monkeypatch.context() as m:
             m.setattr(algebraic, "_closed_form_seeds", lambda cs: None)
-            general = algebraic._certify(coeffs, eps, True)
+            general = algebraic._certify(coeffs, eps)
         return closed, general
 
     def check(self, coeffs, monkeypatch):
@@ -543,7 +557,7 @@ def geometric_scale(a, r):
             crad = src.radius * abs(mpf(s)) / t
             cands = [
                 i
-                for i, rt in enumerate(roots(poly, eps, trusted_squarefree=True))
+                for i, rt in enumerate(roots(poly, eps))
                 if mp.sqrt((rt.re - cre) ** 2 + (rt.im - cim) ** 2) <= rt.radius + crad
             ]
         if len(cands) == 1:
@@ -739,11 +753,11 @@ class TestRootRefinementError:
             assert text in str(exc)
 
 
-def parent_construction(z, rad, k, geometry):
-    """The per-root construction of _certify_scaled before root tables: one
-    CertifiedRoot per disk, built at the current mpmath precision from the
-    Newton pass's centres and radii and its geometry; returned as an mpf
-    table so that the rest of the pipeline is shared."""
+def parent_construction(z, rad, geometry, k):
+    """The per-root construction of root tables before they held columns:
+    one CertifiedRoot per disk, built at the current mpmath precision from
+    the Newton pass's centres and radii and its geometry; returned as an
+    mpf table so that the rest of the pipeline is shared."""
     real, order, lex = geometry
     out = []
     for i in order:
@@ -757,72 +771,55 @@ def parent_construction(z, rad, k, geometry):
 
 
 def table_cases():
-    """(polynomial, eps values, trusted flag, irreducible) for the table
-    tests: the certifier corpus, a sample of binomials of degree 2-200,
-    Phi_n for n <= 61 and Lehmer. The mpmath rungs that 1e-30 (and, for
-    Phi_n, 1e-12) need run on a sample: binomials to degree 64 and Phi_n
-    for n <= 30 and five larger n, since all of them take 10 s."""
+    """(polynomial, eps values, irreducible) for the table tests: the
+    certifier corpus, a sample of binomials of degree 2-200, Phi_n for
+    n <= 61 and Lehmer. The mpmath rungs that 1e-30 (and, for Phi_n, 1e-12)
+    need run on a sample: binomials to degree 64 and Phi_n for n <= 30 and
+    five larger n, since all of them take 10 s."""
     every = (1e-9, 1e-12, 1e-30)
     cases = []
     for factors in certifier_corpus():
         p = IntPolynomial((1,))
         for base, r in factors:
             p = p * scaled_poly(base, r)
-        cases.append((p, every, False, len(factors) == 1))
+        cases.append((p, every, len(factors) == 1))
     rng = random.Random(5)
     for d in (2, 3, 4, 7, 12, 25, 37, 64, 101, 150, 199, 200):
         for sign in (1, -1):
             p = IntPolynomial(binomial(sign * rng.randint(1, 50), d, rng.randint(1, 50)))
-            cases.append((p, every if d <= 64 else every[:2], True, False))
+            cases.append((p, every if d <= 64 else every[:2], False))
     cases += [
         (IntPolynomial(algebraic._cyclotomic(n)),
-         every if n <= 30 or n in (37, 45, 53, 60, 61) else every[:1], True, True)
+         every if n <= 30 or n in (37, 45, 53, 60, 61) else every[:1], True)
         for n in range(1, 62)
     ]
-    return cases + [(LEHMER, every, True, True)]
+    return cases + [(LEHMER, every, True)]
 
 
 class TestRootTables:
     def test_roots_match_per_root_construction(self, monkeypatch):
         """roots() and enclosure() against the CertifiedRoots the parent
-        construction builds from the same Newton passes."""
-        certify_scaled, geometry = algebraic._certify_scaled, algebraic._geometry
-        passes, geometries = [], []
-
-        def recording_geometry(z, rad):
-            geometries.append(geometry(z, rad))
-            return geometries[-1]
-
-        def recording(q, z, u, eps_y, k):
-            z, rad, table = certify_scaled(q, z, u, eps_y, k)
-            parent = None if table is None else parent_construction(z, rad, k, geometries[-1])
-            passes.append((z, rad, parent))
-            return z, rad, table
-
+        construction builds from the same (deterministic) Newton passes."""
         float64 = mpmath = rounded = 0
-        for p, eps_list, trusted, irreducible in table_cases():
+        for p, eps_list, irreducible in table_cases():
             for eps in eps_list:
                 algebraic._ordered_roots.cache_clear()
-                with monkeypatch.context() as m:
-                    m.setattr(algebraic, "_certify_scaled", recording)
-                    m.setattr(algebraic, "_geometry", recording_geometry)
-                    got = roots(p, eps, trusted)
-                table = algebraic._ordered_roots(p.coeffs, algebraic._eps_bucket(eps), trusted)
+                got = roots(p, eps)
+                table = algebraic._ordered_roots(p.coeffs, algebraic._eps_bucket(eps))
                 float64 += table.re.dtype == float
                 mpmath += table.re.dtype == object
                 # cache hits build equal roots, whole or one index at a time
-                assert roots(p, eps, trusted) == got
+                assert roots(p, eps) == got
                 if irreducible:
                     for i, g in enumerate(got):
                         assert AlgebraicNumber(p, i).enclosure(eps) == g, (p, eps, i)
                         # the nearest-root pick reads the scaled table too
                         assert algebraic._index_near(p, complex(g.center)) == i
-                # replay the same passes with the parent's construction
+                # redo the same passes with the parent's construction
                 algebraic._ordered_roots.cache_clear()
                 with monkeypatch.context() as m:
-                    m.setattr(algebraic, "_certify_scaled", lambda *args: passes.pop(0))
-                    want = roots(p, eps, trusted)
-                assert passes == []
+                    m.setattr(algebraic, "_table", parent_construction)
+                    want = roots(p, eps)
                 assert len(got) == len(want) == p.degree
                 for g, w in zip(got, want):
                     if g != w:
@@ -839,12 +836,12 @@ class TestRootTables:
         # the roots +-1e-100 i sit near 2^-332: an approx of 1e300 overflows
         # the comparison in y, where every distance in x rounds equal
         p = IntPolynomial((1, 0, 10**200))
-        rs = roots(p, 1e-9, True)
+        rs = roots(p, 1e-9)
         for approx in (1e300, -1e300j, 1e-100j, -1e-100j, 1e-100 - 1e-100j):
             want = min(range(2), key=lambda i: (abs(complex(rs[i].center) - approx), i))
             assert algebraic._index_near(p, complex(approx)) == want, approx
 
-    def test_real_radius_rounds_up(self, monkeypatch):
+    def test_real_radius_rounds_up(self):
         # real roots whose centres sit off the axis: the radius becomes
         # r + |im| rounded up, in float64 and in mpf, so each disk holds the
         # one it replaces; some of these sums round down to nearest
@@ -858,9 +855,8 @@ class TestRootTables:
             mzs = np.array([mpc(w) for w in z], dtype=object)
             mrad = np.array([mpf(r)] * 2, dtype=object)
             for zs, rads, ulp in ((z, rad, 2.0**-52), (mzs, mrad, mpf(2) ** (1 - 80))):
-                monkeypatch.setattr(algebraic, "_newton_bound", lambda q, z, u: (zs, rads))
                 with mp.workprec(80):
-                    t = algebraic._certify_scaled(None, zs, None, 1e-9, 0)[2]
+                    t = algebraic._table(zs, rads, algebraic._geometry(zs, rads), 0)
                     assert list(t.real) == [True, True] and list(t.im) == [0, 0]
                     for i in range(2):
                         r = rads[i] * (1 + 1e-12)
@@ -878,7 +874,7 @@ class TestRootTables:
             algebraic._ordered_roots.cache_clear()
             gc.collect()
             before = tracemalloc.take_snapshot()
-            table = algebraic._ordered_roots(a.minpoly.coeffs, algebraic._eps_bucket(1e-12), True)
+            table = algebraic._ordered_roots(a.minpoly.coeffs, algebraic._eps_bucket(1e-12))
             gc.collect()
             after = tracemalloc.take_snapshot()
         finally:
@@ -893,8 +889,8 @@ class TestErrorContext:
     def test_radical_without_real_root(self, monkeypatch):
         real = algebraic._root_table
 
-        def no_real(p, eps, trusted):
-            return real(p, eps, trusted)._replace(real=np.zeros(p.degree, dtype=bool))
+        def no_real(p, eps):
+            return real(p, eps)._replace(real=np.zeros(p.degree, dtype=bool))
 
         monkeypatch.setattr(algebraic, "_root_table", no_real)
         with pytest.raises(AlgebraicError) as info:
@@ -908,8 +904,8 @@ class TestErrorContext:
         # take the lex index map away and make every disk meet every other
         real = algebraic._root_table
 
-        def wide(p, eps, trusted):
-            t = real(p, eps, trusted)
+        def wide(p, eps):
+            t = real(p, eps)
             return t._replace(lex=False, rad=np.full(len(t.rad), 1e3))
 
         monkeypatch.setattr(algebraic, "_root_table", wide)
@@ -932,23 +928,103 @@ class TestErrorContext:
         )
 
 
+# 10^12 ((x-1)^2 + 4)((x-1)^2 + 1) + x, irreducible: roots near 1 +- 2i and
+# 1 +- i whose real parts differ by about 1.7e-13. The float64 pass (radius
+# 2.5e-13) puts all four in one real-part group and orders them by im; a
+# 1e-16 pass would separate the pairs and order them by re
+NEAR_TIE = IntPolynomial((10**13, -13999999999999, 11 * 10**12, -4 * 10**12, 10**12))
+
+
+def same_root(a, b) -> bool:
+    """Whether the disks of a and b meet, with equal realness."""
+    with mp.workdps(60):
+        return a.is_real == b.is_real and abs(a.center - b.center) <= a.radius + b.radius
+
+
+class TestOneRootOrder:
+    """A root index names one root at every eps and in any call order: the
+    first certified pass fixes the order, and finer passes only shrink its
+    disks."""
+
+    def test_index_survives_a_finer_certification(self):
+        algebraic._ordered_roots.cache_clear()
+        a = AlgebraicNumber.from_minpoly(NEAR_TIE.coeffs, 0)
+        before = a.enclosure(1e-9)
+        roots(NEAR_TIE, 1e-16)
+        after = a.enclosure(1e-9)
+        assert after.radius <= 1e-16 and same_root(before, after)
+        assert abs(a.approx() - complex(1, -2)) < 1e-9
+        algebraic._ordered_roots.cache_clear()
+
+    @pytest.mark.parametrize("order", [(1e-9, 1e-16), (1e-16, 1e-9)])
+    def test_rows_match_in_either_call_order(self, order):
+        algebraic._ordered_roots.cache_clear()
+        first, second = (roots(NEAR_TIE, eps) for eps in order)
+        assert all(same_root(a, b) for a, b in zip(first, second))
+        algebraic._ordered_roots.cache_clear()
+        fresh = roots(NEAR_TIE, order[1])
+        assert all(same_root(a, b) for a, b in zip(first, fresh))
+        algebraic._ordered_roots.cache_clear()
+
+    def test_random_squarefree_orders_agree(self):
+        # a 1e-9 table comes from the float64 pass, a 1e-40 one from an
+        # mpmath rung; each is certified afresh
+        rng = random.Random(17)
+        x = sympy.Symbol("x")
+        done = 0
+        while done < 30:
+            p = rand_poly(rng, max_deg=12, span=50)
+            if p.degree < 2 or not sympy.Poly(p.coeffs[::-1], x).is_sqf:
+                continue
+            tables = []
+            for eps in (1e-9, 1e-40):
+                algebraic._ordered_roots.cache_clear()
+                tables.append(roots(p, eps))
+            assert all(same_root(a, b) for a, b in zip(*tables)), p
+            done += 1
+        algebraic._ordered_roots.cache_clear()
+
+    def test_refined_disk_that_leaves_its_root_raises(self, monkeypatch):
+        # an mpmath rung whose centres came back reversed would renumber the
+        # roots of the float64 reference
+        newton = algebraic._newton_bound
+
+        def reversed_rungs(q, z, u):
+            z, rad = newton(q, z, u)
+            return (z[::-1], rad[::-1]) if z.dtype == object else (z, rad)
+
+        monkeypatch.setattr(algebraic, "_newton_bound", reversed_rungs)
+        algebraic._ordered_roots.cache_clear()
+        with pytest.raises(algebraic.RootRefinementError) as info:
+            roots(LEHMER, 1e-30)
+        assert info.value.detail == "a refined disk left its root"
+        algebraic._ordered_roots.cache_clear()
+
+    def test_enclosure_and_roots_share_one_entry(self):
+        algebraic._ordered_roots.cache_clear()
+        AlgebraicNumber(LEHMER, 0).enclosure()
+        roots(LEHMER)
+        info = algebraic._ordered_roots.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+
 class TestRootCache:
     def test_finer_entry_serves_coarser_requests(self):
         p = IntPolynomial((-3, 1, 0, 0, 0, 1))
         algebraic._ordered_roots.cache_clear()
-        fine = roots(p, 1e-13, trusted_squarefree=True)
-        coarse = roots(p, 1e-9, trusted_squarefree=True)
+        fine = roots(p, 1e-13)
+        coarse = roots(p, 1e-9)
         assert coarse == fine
         info = algebraic._ordered_roots.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        finer = roots(p, 1e-16, trusted_squarefree=True)
+        finer = roots(p, 1e-16)
         assert all(float(r.radius) <= 1e-16 for r in finer)
         assert algebraic._ordered_roots.cache_info().misses == 2
 
     def test_bounded(self):
         cache = algebraic._ordered_roots
         for k in range(cache.cache_info().maxsize + 40):
-            roots(IntPolynomial((-k, 1)), 1e-12, trusted_squarefree=True)
+            roots(IntPolynomial((-k, 1)), 1e-12)
         assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 

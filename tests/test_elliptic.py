@@ -18,7 +18,6 @@ from smallpoints.elliptic import (
     ec_add,
     ec_mul,
     ec_neg,
-    from_long_weierstrass,
     is_torsion,
     naive_height,
     require_on_curve,
@@ -275,19 +274,23 @@ class TestTorsion:
                 require_on_curve(scaled, p)
 
 
-def moved_origin(red):
-    """(0, 0) of the long model in the short one: X = x + (a1^2 + 4 a2) / 12,
-    Y = y + (a1 x + a3) / 2."""
-    return ECPoint((red.a1**2 + 4 * red.a2) / 12, red.a3 / 2)
+def short_model(a1, a2, a3, a4, a6):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 in short form, by
+    X = x + b2/12 and Y = y + (a1 x + a3)/2, with the long model's (0, 0)
+    in the new coordinates."""
+    a1, a2, a3, a4, a6 = (Fraction(t) for t in (a1, a2, a3, a4, a6))
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    curve = EllipticCurveQ((24 * b4 - b2 * b2) / 48, (b2**3 - 36 * b2 * b4 + 216 * b6) / 864)
+    return curve, ECPoint(b2 / 12, a3 / 2)
 
 
 class TestLongWeierstrass:
     def test_height_on_reduced_curve(self):
         # y^2 + y = x^3 - x
-        red = from_long_weierstrass(0, 0, 1, -1, 0)
-        assert (red.curve.a, red.curve.b) == (Fraction(-1), Fraction(1, 4))
-        p = require_on_curve(red.curve, moved_origin(red))
-        h = canonical_height(red.curve, p, 1e-8)
+        curve, origin = short_model(0, 0, 1, -1, 0)
+        assert (curve.a, curve.b) == (Fraction(-1), Fraction(1, 4))
+        p = require_on_curve(curve, origin)
+        h = canonical_height(curve, p, 1e-8)
         assert h > 0.01  # (0,0) generates 37a, infinite order
 
 
@@ -338,8 +341,7 @@ def loop_is_torsion(curve, point, kmax=12):
 
 def tate_normal(b, c):
     """y^2 + (1-c)xy - by = x^3 - bx^2 in short form, with (0, 0) moved."""
-    red = from_long_weierstrass(1 - c, -b, -b, 0, 0)
-    return red.curve, moved_origin(red)
+    return short_model(1 - c, -b, -b, 0, 0)
 
 
 def kubert_table():

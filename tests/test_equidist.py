@@ -207,11 +207,11 @@ class TestConjugationSymmetry:
         )
 
 
-def _measure_at_all_rows(minpoly, eps, trusted_squarefree=True):
+def _measure_at_all_rows(minpoly, eps):
     """Reference for equidist._measure_at: every row of the root table is
     measured on its own, with no conjugate pair mirrored."""
     entries = []
-    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps, trusted_squarefree)):
+    for re, im, rad, real in _mp_rows(_root_table(minpoly, eps)):
         lo, hi = _abs_interval(re, im, rad)
         if not lo > 0:
             return None
@@ -238,18 +238,18 @@ OTHERS = [IntPolynomial((-1, -1, 0, 0, 0, 1)), LEHMER.minpoly]
 
 # inputs whose root tables the pairing once skipped, with the property
 # that made it skip them: roots on the imaginary axis (one real-part group
-# of four), repeated factors (trusted_squarefree False) and mpf columns
+# of four), repeated factors and mpf columns
 # (a 1e-40 certification needs the mpmath ladder)
 PAIRING = {
-    "x^4+3x^2+1": (IntPolynomial((1, 0, 3, 0, 1)), True, None, "not lex"),
-    "x^4+6x^2+1": (IntPolynomial((1, 0, 6, 0, 1)), True, None, "not lex"),
+    "x^4+3x^2+1": (IntPolynomial((1, 0, 3, 0, 1)), None, "not lex"),
+    "x^4+6x^2+1": (IntPolynomial((1, 0, 6, 0, 1)), None, "not lex"),
     "(x^2+2)^2(x^2+x+3)": (IntPolynomial((2, 0, 1)) * IntPolynomial((2, 0, 1))
-                           * IntPolynomial((3, 1, 1)), False, None, "mult"),
+                           * IntPolynomial((3, 1, 1)), None, "mult"),
     "(x^2+x+1)^3(x-2)^2": (IntPolynomial((1, 1, 1)) * IntPolynomial((1, 1, 1))
                            * IntPolynomial((1, 1, 1)) * IntPolynomial((-2, 1))
-                           * IntPolynomial((-2, 1)), False, None, "mult"),
-    "Phi_7 at 1e-40": (root_of_unity(7).minpoly, True, 1e-40, "mpf"),
-    "radical(3, 5) at 1e-40": (radical(3, 5).minpoly, True, 1e-40, "mpf"),
+                           * IntPolynomial((-2, 1)), None, "mult"),
+    "Phi_7 at 1e-40": (root_of_unity(7).minpoly, 1e-40, "mpf"),
+    "radical(3, 5) at 1e-40": (radical(3, 5).minpoly, 1e-40, "mpf"),
 }
 
 
@@ -287,17 +287,15 @@ class TestMirroredPairs:
 
     @pytest.mark.parametrize("case", sorted(PAIRING))
     def test_pairs_in_every_table(self, case, monkeypatch):
-        p, trusted, fine, kind = PAIRING[case]
+        p, fine, kind = PAIRING[case]
         try:
             if fine is not None:
-                _root_table(p, fine, True)  # the cache now serves this mpf table
-            t = _root_table(p, 1e-9, trusted)
+                _root_table(p, fine)  # the cache now serves this mpf table
+            t = _root_table(p, 1e-9)
             assert {"not lex": not t.lex, "mult": t.mult is not None,
                     "mpf": t.re.dtype == object}[kind], case
             reals = int(np.count_nonzero(t.real))
-            monkeypatch.setattr(equidist, "_root_table",
-                                lambda q, eps, _: _root_table(q, eps, trusted))
-            ref = _measure_at_all_rows(p, 1e-9, trusted)
+            ref = _measure_at_all_rows(p, 1e-9)
             calls = _count_abs_interval(monkeypatch)
             got = _measure_at(p, 1e-9)
             # one modulus per real row and per conjugate pair, repeated rows counted
@@ -311,10 +309,10 @@ class TestMirroredPairs:
             assert len(lower) == len(upper) == (len(t.re) - reals) // 2, case
             for (a, *rest), (b, *rest_b) in zip(lower, upper):
                 assert a + b == 1.0 and rest == rest_b, case
-            m = mahler_log(p, 1e-12, trusted)
+            m = mahler_log(p, 1e-12)
             monkeypatch.setattr(algebraic, "_conjugate_rows", lambda t: (
                 (i, *row, False) for i, row in enumerate(_mp_rows(t))))
-            m0 = mahler_log(p, 1e-12, trusted)
+            m0 = mahler_log(p, 1e-12)
             assert abs(m.value - m0.value) <= m.error + m0.error, case
         finally:
             if fine is not None:
@@ -353,7 +351,7 @@ class TestStoredErrors:
         alpha, c = make(), Fraction(c)
         try:
             if fine is not None:
-                _root_table(alpha.minpoly, fine, True)
+                _root_table(alpha.minpoly, fine)
             mu = orbit_measure(alpha)
         finally:
             algebraic._ordered_roots.cache_clear()  # later tests see float tables

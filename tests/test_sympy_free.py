@@ -1,6 +1,6 @@
 """The benchmark's paths run without sympy: sympy is imported only by
-general factoring (untrusted minimal polynomials, untrusted square-free
-splitting, large composite cofactors)."""
+general factoring (untrusted minimal polynomials, square-free splitting
+when the float64 disks are not certified, large composite cofactors)."""
 
 import subprocess
 import sys
@@ -45,8 +45,37 @@ CALLS = textwrap.dedent(
 )
 
 
-def test_benchmark_paths_run_without_sympy():
-    code = f"import sys; sys.path[:0] = {sys.path!r}\n" + CALLS
+# squarefree polynomials whose float64 disks are certified: that pass proves
+# them squarefree, so roots() and mahler_log() need no factoring; Phi_59 at
+# 1e-12 needs an mpmath rung, which keeps the float64 pass's order
+SQUAREFREE = textwrap.dedent(
+    """
+    import sys
+    sys.modules["sympy"] = None
+    from smallpoints import algebraic
+    from smallpoints.algebraic import IntPolynomial, mahler_log, roots
+
+    lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    phi_59 = IntPolynomial(algebraic._cyclotomic(59))
+    for p in (lehmer, phi_59, IntPolynomial((-2,) + (0,) * 199 + (1,))):
+        assert len(roots(p, 1e-12)) == p.degree
+        mahler_log(p, 1e-12)
+    assert algebraic._root_table(phi_59, 1e-12).re.dtype == object
+    print("ok")
+    """
+)
+
+
+def run_without_sympy(calls):
+    code = f"import sys; sys.path[:0] = {sys.path!r}\n" + calls
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_benchmark_paths_run_without_sympy():
+    run_without_sympy(CALLS)
+
+
+def test_squarefree_roots_run_without_sympy():
+    run_without_sympy(SQUAREFREE)
