@@ -22,7 +22,11 @@ and certifies in float64, then polishes the same centres in mpmath at
 doubling precision only when float64 cannot reach eps or separate the
 disks. Certified float64 disks also prove the polynomial squarefree. The
 Newton-and-bound step and the disk geometry are written once for both
-precisions.
+precisions. Polynomials are evaluated by Horner's rule over their nonzero
+coefficients, a run of zero coefficients bridged by one power of x from
+repeated squaring, so a binomial of degree d costs O(log d) products; the
+rounding majorant of dense Horner still bounds the result (see
+_newton_bound).
 """
 
 from __future__ import annotations
@@ -87,19 +91,22 @@ class ReducibleMinpolyError(AlgebraicError):
 
 
 class RootRefinementError(AlgebraicError):
-    """Certification did not reach the requested radius.
+    """Certification did not reach the requested bound.
 
     Carries what reproduces the failure: the polynomial, the requested
-    eps, the achieved radius and the last precision tried, in bits.
+    eps (a root radius, or the error asked of mahler_log), what was
+    achieved and the last precision tried, in bits. reason, if given,
+    replaces the radius wording of the message.
     """
 
-    def __init__(self, poly, eps: float, achieved_radius: float, prec: int, **context):
+    def __init__(self, poly, eps: float, achieved_radius: float, prec: int,
+                 reason: Optional[str] = None, **context):
         self.poly = poly
         self.eps = eps
         self.achieved_radius = achieved_radius
         self.prec = prec
         super().__init__(
-            f"could not certify {poly} to radius {eps:.3e}: achieved "
+            reason or f"could not certify {poly} to radius {eps:.3e}: achieved "
             f"{achieved_radius:.3e} at {prec}-bit precision", **context
         )
 
@@ -417,11 +424,29 @@ def _root_scale(coeffs):
     return k, j
 
 
+def _power(x, g):
+    """x^g for g >= 1 by repeated squaring: floor(log2 g) + popcount(g) - 1
+    products, at most g - 1, and x itself for g = 1."""
+    out = None
+    while True:
+        if g & 1:
+            out = x if out is None else out * x
+        g >>= 1
+        if not g:
+            return out
+        x = x * x
+
+
 def _horner(cs, x):
-    acc = np.zeros_like(x) + cs[-1]
-    for c in cs[-2::-1]:
-        acc = acc * x + c
-    return acc
+    """sum cs[i] x^i (cs constant term first, cs[-1] nonzero) by Horner's
+    rule over the nonzero coefficients: a gap of g positions between two of
+    them is one product with x^g (see _power), and a zero constant term
+    ends with one last power. A gap of 1 is the plain step acc * x + c."""
+    nz = np.flatnonzero(cs).tolist()
+    acc = np.zeros_like(x) + cs[nz[-1]]
+    for hi, lo in zip(nz[:0:-1], nz[-2::-1]):
+        acc = acc * _power(x, hi - lo) + cs[lo]
+    return acc * _power(x, nz[0]) if nz[0] else acc
 
 
 def _newton_bound(q, z, u):
@@ -435,7 +460,16 @@ def _newton_bound(q, z, u):
     (2 sqrt 2 + 1) d u, plus the rounding of the coefficients to the
     working precision, at most 2u (u, and u more for i q_i), for every
     d >= 1; u * 1e-290 covers the gradual underflow of float64. The radius
-    is inf where |q'(z)| is not certifiably nonzero."""
+    is inf where |q'(z)| is not certifiably nonzero.
+
+    _horner skips zero coefficients, and the majorant still holds: a gap
+    of g positions costs floor(log2 g) + popcount(g) - 1 <= g - 1 rounded
+    products to build z^g and one to apply it, so each term's z^i passes
+    through at most i rounded products, as in dense Horner, and through at
+    most as many rounded additions. That holds in float64 and at every
+    mpmath precision u = 2^(1 - prec) (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 5.1; Brent, Percival and Zimmermann, Math.
+    Comp. 76 (2007), for the complex product bound)."""
     d = len(q) - 1
     dq = q[1:] * np.arange(1, d + 1, dtype=q.dtype)
     for _ in range(3):
@@ -470,16 +504,10 @@ def _geometry(z, rad):
     # the mirror image of a disk meets exactly one disk: its own if the root
     # is real, else the conjugate root's
     mirror = np.abs(z[:, None] - np.conj(z)[None, :]) <= rr
-    real = np.zeros(n, dtype=bool)
-    pair = np.full(n, -1)
-    for i in range(n):
-        hits = np.nonzero(mirror[i])[0]
-        if len(hits) != 1:
-            return None
-        if hits[0] == i:
-            real[i] = True
-        else:
-            pair[i] = hits[0]
+    if np.any(np.count_nonzero(mirror, axis=1) != 1):
+        return None
+    pair = np.argmax(mirror, axis=1)
+    real = pair == np.arange(n)
     # group roots whose real parts are not certifiably separated (dz +
     # conj(dz) is twice the real part of dz, exactly); inside a group the
     # imaginary parts must be, so this also certifies the disks disjoint
@@ -491,20 +519,22 @@ def _geometry(z, rad):
             i = parent[i]
         return i
 
-    for i, j in zip(*np.nonzero(np.abs(dz + np.conj(dz)) <= 2 * rr)):
+    for i, j in zip(*(a.tolist() for a in np.nonzero(np.abs(dz + np.conj(dz)) <= 2 * rr))):
         if i < j:
-            parent[find(int(i))] = find(int(j))
+            parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    # the same differences and sums as dz and rr, on Python scalars
+    zl, radl, pair = z.tolist(), rad.tolist(), pair.tolist()
     for members in groups.values():
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 i, j = members[a], members[b]
-                if abs(dz[i, j].imag) <= rr[i, j]:
+                if abs((zl[i] - zl[j]).imag) <= (radl[i] + radl[j]) * (1 + 1e-9):
                     return None
-    gkey = {g: min(z[i].real for i in members) for g, members in groups.items()}
-    order = sorted(range(n), key=lambda i: (gkey[find(i)], z[i].imag, z[i].real))
+    gkey = {g: min(zl[i].real for i in members) for g, members in groups.items()}
+    order = sorted(range(n), key=lambda i: (gkey[find(i)], zl[i].imag, zl[i].real))
     lex = all(len(m) == 1 or (len(m) == 2 and pair[m[0]] == m[1]) for m in groups.values())
     return real, order, lex
 
@@ -738,13 +768,16 @@ def _log_int(n: int) -> mpf:
 def mahler_log(p: IntPolynomial, tol: float = 1e-12) -> MahlerLog:
     """log Mahler measure log|c_d| + sum log+|root_i|, with error bound.
 
-    The error bound comes from the root enclosure radii and the padding of
-    the moduli; enclosures are refined until the bound is at most tol.
-    RootRefinementError is raised at once when the padding alone, which no
-    finer enclosure lowers, exceeds tol (the error names it padding_floor),
-    and when reaching tol takes radii below 1e-290. Each complex-conjugate
-    pair is bounded once, from its im > 0 disk, and counted twice (see
-    _conjugate_rows).
+    The error bound holds for the value before its rounding to float,
+    which comes on top. It comes from the root enclosure radii and the
+    padding of the moduli; enclosures are refined until the bound is at
+    most tol. RootRefinementError is raised at once when the padding alone,
+    which no finer enclosure lowers, exceeds tol (the error names it
+    padding_floor), and when reaching tol takes radii below 1e-290. Each
+    complex-conjugate pair is bounded once, from its im > 0 disk, and
+    counted twice (see _conjugate_rows). A binomial's measure is a 40-digit
+    log, whose bound value * 2^-119 is the error; a tol below that raises
+    at once, naming it evaluation_floor.
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
@@ -752,10 +785,15 @@ def mahler_log(p: IntPolynomial, tol: float = 1e-12) -> MahlerLog:
         raise AlgebraicError("degree >= 1 required")
     if p.degree == 1 or all(c == 0 for c in p.coeffs[1:-1]):
         # binomial c_d x^d + c_0: every root has modulus |c_0/c_d|^(1/d),
-        # so the measure is exactly max(|c_0|, |c_d|)
+        # so the measure is exactly max(|c_0|, |c_d|). Its 136-bit log is
+        # within v 2^-130 (v >= log 2 unless v = 0), so v 2^-119 bounds it
+        # with the rounding of v to float to spare
         with mp.workdps(40):
-            v = _log_int(max(abs(p.constant), abs(p.leading)))
-        return MahlerLog(float(v), 1e-15)
+            v, prec = float(_log_int(max(abs(p.constant), abs(p.leading)))), mp.prec
+        err = v * 2.0**-119
+        if err > tol:
+            raise _tol_unreached(p, tol, err, prec, evaluation_floor=f"{err:.3e}")
+        return MahlerLog(v, err)
     eps = max(min(tol / (4 * p.degree), 1e-10), 1e-290)
     for _ in range(60):
         t = _root_table(p, eps)
@@ -789,7 +827,15 @@ def mahler_log(p: IntPolynomial, tol: float = 1e-12) -> MahlerLog:
         if floor > tol or eps / 256 < 1e-290:
             break
         eps /= 256
-    raise RootRefinementError(p, tol, err, prec, padding_floor=f"{floor:.3e}")
+    raise _tol_unreached(p, tol, err, prec, padding_floor=f"{floor:.3e}")
+
+
+def _tol_unreached(p, tol, err, prec, **floor) -> RootRefinementError:
+    return RootRefinementError(
+        p, tol, err, prec,
+        f"could not bound log M({p}) within {tol:.3e}: achieved error {err:.3e} "
+        f"summing at {prec}-bit precision", **floor,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +926,9 @@ def conjugates(a: AlgebraicNumber):
 def weil_height(a, tol: float = 1e-12) -> float:
     """Absolute logarithmic Weil height; mahler_log(minpoly)/degree.
 
-    Accepts AlgebraicNumber, int, or Fraction. Guaranteed error <= tol.
+    Accepts AlgebraicNumber, int, or Fraction. The value before its rounding
+    to float is within tol of the height; the rounding of the returned float
+    comes on top of tol.
     """
     if isinstance(a, (int, Fraction)):
         a = AlgebraicNumber.from_rational(a)

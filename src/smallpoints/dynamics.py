@@ -189,14 +189,23 @@ def n_from_components(
     preperiodic: bool,
 ) -> "NValue":
     """Smallest N >= 1 with m^(2N) hq + m^N hl + shift > M, from certified
-    component heights (value, error), grown as exact rationals so that no
-    step overflows or rounds. The backbone for mixed products."""
+    component heights (value, error), grown exactly so that no step
+    overflows or rounds. The backbone for mixed products.
+
+    The five inputs and M are scaled to integers over one common
+    denominator (a power of two for floats), so every step is integer
+    arithmetic; no finite height exceeds M = inf."""
     if preperiodic:
         return NValue.preperiodic()
-    hq, eq, hl, el, shift = map(Fraction, (*quadratic, *linear, shift))
+    if M == math.inf:
+        return NValue.cap_exceeded()
+    ratios = [x.as_integer_ratio() for x in (*quadratic, *linear, shift, M)]
+    den = math.lcm(*(b for _, b in ratios))
+    hq, eq, hl, el, base, big_m = (a * (den // b) for a, b in ratios)
+    mn = 1
     for n in range(1, cap + 1):
-        mn = m**n
-        verdict = _exceeds(mn * (mn * hq + hl) + shift, mn * (mn * eq + el), M)
+        mn *= m
+        verdict = _exceeds(mn * (mn * hq + hl) + base, mn * (mn * eq + el), big_m)
         if verdict is None:
             raise InconclusiveComparisonError(
                 f"height vs threshold M={M} ambiguous at step {n}; "

@@ -1,3 +1,4 @@
+import cmath
 import gc
 import math
 import random
@@ -161,6 +162,20 @@ class TestMahler:
             floor = float(info.value.padding_floor)
             assert 1e-28 < floor < 1e-26 and f"padding_floor={floor:.3e}" in str(info.value)
         algebraic._ordered_roots.cache_clear()
+
+    def test_binomial_states_its_evaluation_bound(self):
+        # the closed-form measure is a 40-digit log: its stated error is that
+        # evaluation's bound, and a tol below it raises, naming the floor
+        m = mahler_log(IntPolynomial((-(10**300 - 1), 0, 1)), 1e-20)
+        assert 0 < m.error <= 1e-20
+        with mp.workdps(60):
+            want = mp.log(mpf(10**300 - 1))
+            assert abs(mpf(m.value) - want) <= m.error + math.ulp(m.value)
+        with pytest.raises(algebraic.RootRefinementError) as info:
+            mahler_log(IntPolynomial(binomial(-3, 3, 2)), 1e-40)
+        floor = float(info.value.evaluation_floor)
+        assert 1e-40 < floor < 1e-35
+        assert str(info.value).startswith("could not bound log M([-3,0,0,2]) within 1.000e-40")
 
     def test_tol_above_padding_floor_is_met(self):
         p = IntPolynomial((-1, -1, 0, 0, 0, 1))
@@ -1057,3 +1072,139 @@ def test_closed_forms_bypass_general_solvers(monkeypatch):
                 scale_by_rational(z, Fraction(-2, 3))
         equidist.orbit_measure(root_of_unity(n))
     assert calls == []
+
+
+def plain_horner(cs, x):
+    """Dense Horner over every coefficient, as the certifier evaluated
+    polynomials before it skipped zero coefficients."""
+    acc = np.zeros_like(x) + cs[-1]
+    for c in cs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def dyadic(v) -> Fraction:
+    """The exact value of a float64 or an mpf."""
+    if isinstance(v, mpf):
+        sign, man, exp, _ = v._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    return Fraction(float(v))
+
+
+def exact_eval(cs, z):
+    """sum cs[i] z^i as exact (re, im) Fractions, cs and z dyadic: Horner
+    in Gaussian integers over one power-of-two denominator."""
+    zr, zi = dyadic(z.real), dyadic(z.imag)
+    fs = [dyadic(c) for c in cs]
+    s = max(f.denominator for f in (zr, zi)).bit_length() - 1  # z = (a + bi) / 2^s
+    t = max(f.denominator for f in fs).bit_length() - 1  # c_i = n_i / 2^t
+    a, b = int(zr * 2**s), int(zi * 2**s)
+    ns = [int(f * 2**t) for f in fs]
+    d = len(cs) - 1
+    re, im = ns[-1], 0
+    for i in range(d - 1, -1, -1):
+        re, im = re * a - im * b + (ns[i] << (s * (d - i))), re * b + im * a
+    den = 2 ** (t + s * d)
+    return Fraction(re, den), Fraction(im, den)
+
+
+def horner_corpus():
+    """Seeded integer polynomials of degree <= 200, constant term first:
+    binomials, x^n - x - 1, Phi_n with zero coefficients, random sparse
+    ones (some with zero constant term) and random dense ones."""
+    rng = random.Random(20261019)
+    out = [binomial(-3, n, 2) for n in (2, 3, 7, 64, 127, 200)]
+    out += [binomial(1, n, 1) for n in (5, 100)]
+    out += [(-1, -1) + (0,) * (n - 2) + (1,) for n in (3, 10, 61, 200)]
+    out += [algebraic._cyclotomic(n) for n in (8, 9, 12, 15, 20, 105, 256)]
+    for _ in range(12):
+        d = rng.randint(2, 200)
+        cs = [0] * (d + 1)
+        for i in rng.sample(range(d), rng.randint(1, 6)):
+            cs[i] = rng.randint(-(2**20), 2**20) or 1
+        cs[-1] = rng.randint(1, 2**20)
+        out.append(tuple(cs))
+    for _ in range(6):
+        d = rng.randint(2, 200)
+        out.append(tuple(rng.choice((-1, 1)) * rng.randint(1, 2**20) for _ in range(d + 1)))
+    return out
+
+
+class TestGapHorner:
+    """_horner skips zero coefficients by powers of x; the rounding majorant
+    of _newton_bound still covers it, and dense polynomials keep every bit."""
+
+    @staticmethod
+    def points(rng, k=4):
+        # |z| <= 2^(5/2), the root bound of the rescaled polynomials
+        return [cmath.rect(rng.uniform(0, 2**2.5), rng.uniform(-math.pi, math.pi)) for _ in range(k)]
+
+    def check(self, cs, q, z, u):
+        got = algebraic._horner(q, z)
+        d = len(cs) - 1
+        for w, x in zip(got.tolist(), z.tolist()):
+            re, im = exact_eval(q, x)
+            err = math.hypot(float(dyadic(w.real) - re), float(dyadic(w.imag) - im))
+            ax = abs(complex(x))
+            majorant = 10 * d * float(u) * sum(abs(c) * ax**i for i, c in enumerate(cs))
+            assert err <= majorant, (cs, x, err, majorant)
+
+    def test_error_within_majorant(self):
+        rng = random.Random(5)
+        for cs in horner_corpus():
+            pts = self.points(rng)
+            self.check(cs, np.array([float(c) for c in cs]), np.array(pts), 2.0**-53)
+            for dps in (40, 80):
+                with mp.workdps(dps):
+                    q = np.array([mpf(c) for c in cs], dtype=object)
+                    z = np.array([mpc(x) + mpc(rng.random(), rng.random()) * 2**-60 for x in pts],
+                                 dtype=object)
+                    self.check(cs, q, z, mpf(2) ** (1 - mp.prec))
+
+    def test_power_product_count(self):
+        # floor(log2 g) + popcount(g) - 1 products, at most g - 1
+        class Counted(float):
+            products = 0
+
+            def __mul__(self, other):
+                Counted.products += 1
+                return Counted(float(self) * float(other))
+
+        for g in range(1, 300):
+            Counted.products = 0
+            assert algebraic._power(Counted(1.0), g) == 1.0
+            want = g.bit_length() - 1 + bin(g).count("1") - 1
+            assert Counted.products == want <= g - 1, g
+
+    @staticmethod
+    def columns(t):
+        return tuple(c.tolist() for c in (t.re, t.im, t.rad, t.real)) + (t.k, t.lex, t.mult, t.exact)
+
+    def test_dense_tables_keep_every_bit(self, monkeypatch):
+        rng = random.Random(8)
+        corpus = [algebraic._cyclotomic(p) for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+        corpus += [rand_poly(rng, max_deg=12, span=50).coeffs for _ in range(10)]
+        for cs in corpus:
+            if 0 in cs:
+                continue
+            for eps in (2.0**-30, 1e-40):
+                got = algebraic._certify(cs, eps)
+                with monkeypatch.context() as m:
+                    m.setattr(algebraic, "_horner", plain_horner)
+                    want = algebraic._certify(cs, eps)
+                assert got.re.dtype == want.re.dtype and self.columns(got) == self.columns(want), cs
+
+    def test_sparse_tables_hold_the_reference_roots(self, monkeypatch):
+        # same order, realness and lex; centres within both radii
+        cases = [(binomial(-3, n, 2), 1e-12) for n in range(2, 201)]
+        cases += [(algebraic._cyclotomic(n), 1e-9) for n in range(1, 62)]
+        for cs, eps in cases:
+            eps = algebraic._eps_bucket(eps)
+            got = algebraic._certify(cs, eps)
+            with monkeypatch.context() as m:
+                m.setattr(algebraic, "_horner", plain_horner)
+                want = algebraic._certify(cs, eps)
+            assert got.lex == want.lex, cs
+            for a, b in zip(algebraic._roots_of(got), algebraic._roots_of(want), strict=True):
+                assert a.is_real == b.is_real, cs
+                assert abs(a.center - b.center) <= a.radius + b.radius, cs

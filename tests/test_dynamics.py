@@ -6,6 +6,7 @@ N = least N >= 1 with m^N (log 2)/n + delta > M.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,46 @@ class TestComponents:
         # the same far past float range: 2^700 (1 +- 1e-3) straddles 2^700
         with pytest.raises(InconclusiveComparisonError):
             n_from_components((0.0, 0.0), (1.0, 1e-3), 2, 0.0, 2.0**700, 1000, False)
+
+    def test_infinite_threshold_is_never_exceeded(self):
+        got = n_from_components((1.0, 0.0), (1.0, 0.0), 2, 1.0, math.inf, 64, False)
+        assert got == NValue.cap_exceeded()
+
+    @staticmethod
+    def fraction_loop(quadratic, linear, m, shift, M, cap):
+        """The exact-rational loop that the integer steps replace."""
+        hq, eq, hl, el, shift = map(Fraction, (*quadratic, *linear, shift))
+        for n in range(1, cap + 1):
+            mn = m**n
+            lo = mn * (mn * hq + hl) + shift
+            err = mn * (mn * eq + el)
+            if lo - err > M:
+                return NValue.finite(n)
+            if not lo + err <= M:
+                return "inconclusive"
+        return NValue.cap_exceeded()
+
+    def test_integer_steps_match_the_fraction_loop(self):
+        # benchmark-like inputs: torus h = log p / n with n in [2, 200],
+        # curve h = 1.35 k^2, with thresholds near and far
+        rng = random.Random(10)
+        for i in range(600):
+            if i % 2:
+                h = math.log(rng.choice((2, 3, 5, 7, 11))) / rng.randint(2, 200)
+                quadratic, linear = (0.0, 0.0), (h, h * 1e-10)
+            else:
+                h = 1.35 * rng.randint(1, 16) ** 2
+                quadratic, linear = (h, h * 1e-9), (0.0, 0.0)
+            shift = rng.choice((0.0, 0.5, -0.25))
+            M = rng.choice((0.5, 8.0, 10.0, 1e6, 1e200, 2.0**700))
+            cap = rng.choice((64, 1000))
+            args = (quadratic, linear, 2, shift, M, cap)
+            want = self.fraction_loop(*args)
+            if want == "inconclusive":
+                with pytest.raises(InconclusiveComparisonError):
+                    n_from_components(*args, False)
+            else:
+                assert n_from_components(*args, False) == want, args
 
 
 class TestPreperiodic:
